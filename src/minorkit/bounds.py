@@ -9,33 +9,14 @@ default density targets for the pipelines.  Users override via CLI flags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # leading coefficient of the t*sqrt(log t) form for the minor threshold
 MINOR_COEFFICIENT = 0.64
-# coefficient window of the t^2 form for the subdivision threshold
-SUBDIVISION_COEFF_LOWER = 9.0 / 64.0
+# upper end of the coefficient window [9/64, 10/23] of the t^2 form for the
+# subdivision threshold
 SUBDIVISION_COEFF_UPPER = 10.0 / 23.0
 # degree-floor constant c in c*t*sqrt(log t) + 3t for the sparse unit builder
 DEFAULT_DEGREE_FLOOR_COEFF = 1.0 / 128.0
-
-
-@dataclass(frozen=True)
-class KnownBounds:
-    t: int
-    c_t_coefficient: float = MINOR_COEFFICIENT
-    s_t_lower: float = SUBDIVISION_COEFF_LOWER
-    s_t_upper: float = SUBDIVISION_COEFF_UPPER
-
-    def __post_init__(self):
-        if self.s_t_lower > self.s_t_upper:
-            raise ValueError("lower coefficient exceeds upper")
-
-    def minor_threshold(self) -> float:
-        return minor_density_target(self.t, self.c_t_coefficient)
-
-    def subdivision_threshold(self) -> float:
-        return subdivision_density_target(self.t, self.s_t_upper)
 
 
 def minor_density_target(t: int, coefficient: float = MINOR_COEFFICIENT) -> float:

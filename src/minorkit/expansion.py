@@ -234,10 +234,6 @@ class FindDenseQuery:
     gamma: float
     s: frozenset
 
-    def check_against(self, g: Graph) -> bool:
-        nb = neighborhood(g, self.s)
-        return len(nb) < self.gamma * len(self.s)
-
 
 BRANCH_DROP = "drop_S"
 BRANCH_CONTRACT = "contract_to_ball"

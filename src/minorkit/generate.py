@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, load_graph
+from .graph import Graph, _bfs, _gather, load_graph
 
 FAMILIES = ("gnp_avg_degree", "random_regular", "dense_blobs", "grid_torus", "file")
 
@@ -222,28 +222,46 @@ def _grid_torus(n: int) -> Graph:
 
 
 def girth(g: Graph) -> Optional[int]:
-    """Length of a shortest cycle (BFS from every root, pruned), None if acyclic."""
-    best: float = math.inf
+    """Length of a shortest cycle, None if acyclic.
+
+    A BFS from each root in turn prices every non-tree edge ``(u, w)``
+    between reached vertices as a cycle of length at most
+    ``level(u) + level(w) + 1``; the least such bound is at most the length
+    of every cycle through the root.  A finished root is then deleted, as no
+    cycle through it can beat that bound, and so is every vertex left with
+    degree at most 1.  Once a cycle of length ``best`` is known, no BFS
+    needs to go deeper than ``(best - 1) // 2`` to find a shorter one.
+    """
+    deg = g.degrees().copy()
+    gone = np.zeros(g.n, dtype=bool)
+
+    def delete(v):
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            if gone[u]:
+                continue
+            gone[u] = True
+            for w in g.neighbors(u):
+                deg[w] -= 1
+                if deg[w] <= 1:
+                    stack.append(int(w))
+
+    for v in np.flatnonzero(deg <= 1):
+        delete(int(v))
+    best = math.inf
     for root in range(g.n):
         if best == 3:
             break
-        dist = {root: 0}
-        parent = {root: -1}
-        frontier = [root]
-        depth = 0
-        while frontier:
-            if best < math.inf and depth >= best / 2:
-                break
-            nxt = []
-            for u in frontier:
-                for w in g.neighbors(u):
-                    w = int(w)
-                    if w not in dist:
-                        dist[w] = depth + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif w != parent[u] and parent[w] != u:
-                        best = min(best, dist[u] + dist[w] + 1)
-            frontier = nxt
-            depth += 1
+        if gone[root]:
+            continue
+        radius = None if best == math.inf else (best - 1) // 2
+        levels, parents = _bfs(g, [root], gone, radius=radius, parents=True)
+        reached = np.flatnonzero(levels >= 0)
+        nbrs, counts = _gather(g, reached)
+        owner = np.repeat(reached, counts)
+        cross = (levels[nbrs] >= 0) & (parents[owner] != nbrs) & (parents[nbrs] != owner)
+        if cross.any():
+            best = min(best, int((levels[owner[cross]] + levels[nbrs[cross]]).min()) + 1)
+        delete(root)
     return None if best == math.inf else int(best)

@@ -5,8 +5,10 @@ Vertices are dense integer ids ``0..n-1``.  Adjacency is stored in CSR form
 deterministic.  Graphs are immutable after construction; "deleting" vertices
 means building a relabeled induced subgraph that carries its id mapping.
 
-Vertex sets are plain ``set``/``frozenset`` objects.  All BFS tie-breaking is
-by smallest vertex id, so every operation here is deterministic.
+Vertex sets are plain ``set``/``frozenset`` objects.  Every traversal runs on
+one BFS kernel over the CSR arrays and a boolean blocked mask: layers are
+expanded whole, and a vertex's parent is the smallest-id vertex of the
+previous layer adjacent to it, so every operation here is deterministic.
 
 Thread-safety: ``Graph`` and ``Path`` never mutate after ``__init__`` and may
 be shared freely across worker threads.
@@ -22,9 +24,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 VertexSet = frozenset  # a set of vertex ids; any Iterable[int] is accepted as input
-
-# graphs larger than this use vectorized frontier expansion in BFS
-_NUMPY_BFS_THRESHOLD = 256
 
 
 @dataclass(frozen=True)
@@ -141,18 +140,6 @@ class Graph:
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple]) -> "Graph":
-        return cls(n, edges)
-
-    @classmethod
-    def from_adjacency(cls, adjacency: Sequence[Iterable[int]]) -> "Graph":
-        n = len(adjacency)
-        edges = [(u, v) for u in range(n) for v in adjacency[u] if u < v]
-        return cls(n, edges)
-
 
 def _build_csr(n: int, eu: list, ev: list):
     if not eu:
@@ -175,13 +162,6 @@ class InducedSubgraph(NamedTuple):
     graph: Graph
     new_to_old: tuple
     old_to_new: dict
-
-    def lift_set(self, s: Iterable[int]) -> frozenset:
-        """Map a vertex set of the subgraph back into original ids."""
-        return frozenset(self.new_to_old[v] for v in s)
-
-    def lift_path(self, p: Path) -> Path:
-        return Path(tuple(self.new_to_old[v] for v in p.vertices))
 
 
 # -- spec operations ---------------------------------------------------------
@@ -222,6 +202,72 @@ def ball(g: Graph, s: Iterable[int], radius: int, avoid: Iterable[int] = ()) -> 
     return frozenset(int(v) for v in np.flatnonzero(levels >= 0))
 
 
+# -- the BFS kernel -----------------------------------------------------------
+
+
+def _mask(n: int, vertices: Iterable[int]) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[np.fromiter(map(int, vertices), dtype=np.int64)] = True
+    return mask
+
+
+def _gather(g: Graph, vertices: np.ndarray) -> tuple:
+    """Concatenated neighbor rows of ``vertices`` and the length of each row."""
+    starts = g._indptr[vertices]
+    counts = g._indptr[vertices + 1] - starts
+    offs = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return g._indices[offs + np.arange(len(offs))], counts
+
+
+def _layer_step(g: Graph, frontier: np.ndarray, levels: np.ndarray, blocked: np.ndarray,
+                parents: bool = False) -> tuple:
+    """One BFS layer: the sorted unvisited, unblocked neighbors of ``frontier``.
+
+    With ``parents`` also returns, for each new vertex, its smallest-id
+    neighbor in ``frontier`` (which must be sorted ascending); else None.
+    """
+    flat, counts = _gather(g, frontier)
+    keep = (levels[flat] < 0) & ~blocked[flat]
+    if not parents:
+        return np.unique(flat[keep]), None
+    new, first = np.unique(flat[keep], return_index=True)
+    return new, np.repeat(frontier, counts)[keep][first]
+
+
+def _bfs(g: Graph, seeds: Iterable[int], blocked: np.ndarray, radius: Optional[int] = None,
+         stop_size: Optional[int] = None, target: Optional[int] = None,
+         parents: bool = False) -> tuple:
+    """Layered BFS from ``seeds`` through unblocked vertices: the one BFS loop.
+
+    Seeds are visited even when blocked.  Growth stops after ``radius``
+    layers, once ``stop_size`` vertices are visited or once ``target`` is
+    visited, always between whole layers.  Returns ``(levels, parents)``:
+    ``int32`` levels with -1 for unvisited vertices, and with ``parents`` an
+    array holding each visited vertex's smallest-id neighbor one layer down
+    (-1 for seeds and unvisited vertices), else None.
+    """
+    levels = np.full(g.n, -1, dtype=np.int32)
+    parent = np.full(g.n, -1, dtype=np.int32) if parents else None
+    frontier = np.unique(np.fromiter(map(int, seeds), dtype=np.int64))
+    levels[frontier] = 0
+    size = len(frontier)
+    r = 0
+    while len(frontier):
+        if radius is not None and r >= radius:
+            break
+        if stop_size is not None and size >= stop_size:
+            break
+        if target is not None and levels[target] >= 0:
+            break
+        frontier, src = _layer_step(g, frontier, levels, blocked, parents)
+        r += 1
+        levels[frontier] = r
+        if parents:
+            parent[frontier] = src
+        size += len(frontier)
+    return levels, parent
+
+
 def bfs_levels(
     g: Graph,
     seeds: Iterable[int],
@@ -235,71 +281,11 @@ def bfs_levels(
     after ``radius`` layers or once the visited count reaches ``stop_size``
     (the current layer is always completed, never truncated mid-layer).
     """
-    levels = np.full(g.n, -1, dtype=np.int32)
-    seeds = sorted({int(v) for v in seeds})
-    if not seeds:
-        return levels
-    avoid = set(map(int, avoid))
-    if avoid:
-        for v in seeds:
-            if v in avoid:
-                raise ValueError("seed inside avoid set")
-    if g.n > _NUMPY_BFS_THRESHOLD:
-        return _bfs_levels_np(g, seeds, avoid, radius, stop_size, levels)
-    frontier = seeds
-    for v in frontier:
-        levels[v] = 0
-    size = len(frontier)
-    r = 0
-    while frontier:
-        if radius is not None and r >= radius:
-            break
-        if stop_size is not None and size >= stop_size:
-            break
-        nxt = set()
-        for u in frontier:
-            for w in g.neighbors(u):
-                w = int(w)
-                if levels[w] < 0 and w not in avoid:
-                    nxt.add(w)
-        r += 1
-        frontier = sorted(nxt)
-        for v in frontier:
-            levels[v] = r
-        size += len(frontier)
-    return levels
-
-
-def _bfs_levels_np(g, seeds, avoid, radius, stop_size, levels):
-    blocked = np.zeros(g.n, dtype=bool)
-    if avoid:
-        blocked[list(avoid)] = True
-    frontier = np.asarray(seeds, dtype=np.int32)
-    levels[frontier] = 0
-    size = len(frontier)
-    r = 0
-    indptr, indices = g._indptr, g._indices
-    while len(frontier):
-        if radius is not None and r >= radius:
-            break
-        if stop_size is not None and size >= stop_size:
-            break
-        starts = indptr[frontier]
-        counts = (indptr[frontier + 1] - starts).astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # gather all neighbor slices into one flat array
-        offs = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-        flat = indices[offs + np.arange(total, dtype=np.int64)]
-        cand = flat[(levels[flat] < 0) & ~blocked[flat]]
-        if len(cand) == 0:
-            break
-        frontier = np.unique(cand)
-        r += 1
-        levels[frontier] = r
-        size += len(frontier)
-    return levels
+    seeds = list(map(int, seeds))
+    blocked = _mask(g.n, avoid)
+    if blocked[seeds].any():
+        raise ValueError("seed inside avoid set")
+    return _bfs(g, seeds, blocked, radius=radius, stop_size=stop_size)[0]
 
 
 def bfs_parents(
@@ -313,59 +299,69 @@ def bfs_parents(
 ) -> tuple:
     """Layered BFS with smallest-id parent assignment.
 
-    Layers are processed in ascending vertex order so each vertex's parent is
-    the smallest-id vertex of the previous layer adjacent to it.  If ``target``
-    is given the search stops once it is reached (after finishing the layer);
-    ``stop_size`` stops growth once that many vertices are visited (layers are
-    never truncated mid-way).  ``allowed``, when given, restricts the walk to
-    that vertex set (seeds included implicitly).  Returns
-    ``(levels: dict, parents: dict)``.
+    Each vertex's parent is the smallest-id vertex of the previous layer
+    adjacent to it.  If ``target`` is given the search stops once it is
+    reached (after finishing the layer); ``stop_size`` stops growth once that
+    many vertices are visited (layers are never truncated mid-way).
+    ``allowed``, when given, restricts the walk to that vertex set (seeds
+    included implicitly).  Returns ``(levels, parents)`` arrays: ``int32``
+    levels with -1 for unreached vertices, and parents with -1 at the seeds
+    and unreached vertices; :func:`trace_path` reads a path off ``parents``.
     """
-    seeds = sorted({int(v) for v in seeds})
-    avoid = set(map(int, avoid))
-    levels = {v: 0 for v in seeds}
-    parents = {v: None for v in seeds}
-    frontier = seeds
-    r = 0
-    while frontier:
-        if radius is not None and r >= radius:
-            break
-        if target is not None and target in levels:
-            break
-        if stop_size is not None and len(levels) >= stop_size:
-            break
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                w = int(w)
-                if w in levels or w in avoid:
-                    continue
-                if allowed is not None and w not in allowed:
-                    continue
-                levels[w] = r + 1
-                parents[w] = u
-                nxt.append(w)
-        frontier = sorted(nxt)
-        r += 1
-    return levels, parents
+    blocked = _mask(g.n, avoid)
+    if allowed is not None:
+        blocked |= ~_mask(g.n, allowed)
+    return _bfs(g, seeds, blocked, radius=radius, stop_size=stop_size, target=target,
+                parents=True)
 
 
-def trace_path(parents: dict, end: int) -> list:
-    out = [end]
-    while parents[out[-1]] is not None:
-        out.append(parents[out[-1]])
+def trace_path(parents: np.ndarray, end: int) -> list:
+    out = [int(end)]
+    while parents[out[-1]] >= 0:
+        out.append(int(parents[out[-1]]))
     out.reverse()
     return out
 
 
-def shortest_path_within(g: Graph, allowed: Iterable[int], src: int, dst: int) -> Optional[Path]:
-    """Shortest path from src to dst using only vertices of ``allowed``."""
-    allowed = set(map(int, allowed))
-    allowed.update((int(src), int(dst)))
-    levels, parents = bfs_parents(g, [src], target=dst, allowed=allowed)
-    if dst not in levels:
+def reached_in_order(levels: np.ndarray) -> np.ndarray:
+    """The vertices a BFS reached, ordered by (level, id)."""
+    reached = np.flatnonzero(levels >= 0)
+    return reached[np.argsort(levels[reached], kind="stable")]
+
+
+def first_exit(g: Graph, levels: np.ndarray, targets: Iterable[int],
+               max_level: Optional[int] = None) -> Optional[tuple]:
+    """Earliest reached vertex adjacent to ``targets``.
+
+    Returns ``(level, u, w)`` for the reached vertex ``u`` of smallest
+    (level, id) with level at most ``max_level`` that has a neighbor in
+    ``targets``, and ``w`` its smallest-id such neighbor; None if there is
+    none.  The scan gathers the targets' neighbor rows, so its cost follows
+    the targets, not the ball.
+    """
+    targets = np.unique(np.fromiter(map(int, targets), dtype=np.int64))
+    if not len(targets):
         return None
-    return Path(tuple(trace_path(parents, int(dst))))
+    flat, counts = _gather(g, targets)
+    lv = levels[flat]
+    ok = lv >= 0
+    if max_level is not None:
+        ok &= lv <= max_level
+    if not ok.any():
+        return None
+    lv, u, w = lv[ok], flat[ok], np.repeat(targets, counts)[ok]
+    best = np.lexsort((w, u, lv))[0]
+    return int(lv[best]), int(u[best]), int(w[best])
+
+
+def eccentricity_within(g: Graph, members: Iterable[int], v: int) -> Optional[int]:
+    """Eccentricity of ``v`` in G[members], or None if a BFS from ``v``
+    inside ``members`` visits fewer than ``len(members)`` vertices."""
+    members = {int(u) for u in members}
+    levels, _ = _bfs(g, [v], ~_mask(g.n, members))
+    if int(np.count_nonzero(levels >= 0)) != len(members):
+        return None
+    return int(levels.max())
 
 
 def set_radius_center(g: Graph, s: Iterable[int]) -> tuple:
@@ -378,42 +374,19 @@ def set_radius_center(g: Graph, s: Iterable[int]) -> tuple:
     s = sorted({int(v) for v in s})
     if not s:
         raise ValueError("empty set")
-    members = set(s)
     best = None
     for v in s:
-        ecc, reached = _eccentricity_in(g, members, v)
-        if reached != len(s):
+        ecc = eccentricity_within(g, s, v)
+        if ecc is None:
             raise ValueError("set not connected")
         if best is None or ecc < best[1]:
             best = (v, ecc)
     return best
 
 
-def _eccentricity_in(g: Graph, members: set, v: int) -> tuple:
-    seen = {v}
-    frontier = [v]
-    ecc = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                w = int(w)
-                if w in members and w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if nxt:
-            ecc += 1
-        frontier = nxt
-    return ecc, len(seen)
-
-
 def is_connected_set(g: Graph, s: Iterable[int]) -> bool:
     s = {int(v) for v in s}
-    if not s:
-        return False
-    v0 = min(s)
-    _, reached = _eccentricity_in(g, s, v0)
-    return reached == len(s)
+    return bool(s) and eccentricity_within(g, s, min(s)) is not None
 
 
 def consecutive_shortest_paths(
@@ -441,7 +414,7 @@ def consecutive_shortest_paths(
         if t not in allowed:
             return paths, i
         levels, parents = bfs_parents(g, [v], target=t, allowed=allowed)
-        if t not in levels:
+        if levels[t] < 0:
             return paths, i
         p = Path(tuple(trace_path(parents, t)))
         paths.append(p)
@@ -458,44 +431,20 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> InducedSubgraph:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
     old_to_new = {v: i for i, v in enumerate(new_to_old)}
-    if g.n > _NUMPY_BFS_THRESHOLD:
-        keep = np.zeros(g.n, dtype=bool)
-        keep[new_to_old] = True
-        relab = np.full(g.n, -1, dtype=np.int64)
-        relab[new_to_old] = np.arange(len(new_to_old))
-        eu, ev = [], []
-        for v in new_to_old:
-            row = g.neighbors(v)
-            row = row[keep[row]]
-            row = row[row > v]
-            if len(row):
-                eu.extend([old_to_new[v]] * len(row))
-                ev.extend(int(x) for x in relab[row])
-        sub = Graph(len(new_to_old), zip(eu, ev))
-    else:
-        members = set(new_to_old)
-        edges = [
-            (old_to_new[u], old_to_new[int(w)])
-            for u in new_to_old
-            for w in g.neighbors(u)
-            if int(w) in members and u < int(w)
-        ]
-        sub = Graph(len(new_to_old), edges)
+    keep = np.zeros(g.n, dtype=bool)
+    keep[new_to_old] = True
+    relab = np.full(g.n, -1, dtype=np.int64)
+    relab[new_to_old] = np.arange(len(new_to_old))
+    eu, ev = [], []
+    for v in new_to_old:
+        row = g.neighbors(v)
+        row = row[keep[row]]
+        row = row[row > v]
+        if len(row):
+            eu.extend([old_to_new[v]] * len(row))
+            ev.extend(int(x) for x in relab[row])
+    sub = Graph(len(new_to_old), zip(eu, ev))
     return InducedSubgraph(sub, tuple(new_to_old), old_to_new)
-
-
-def connected_components(g: Graph) -> list:
-    """Connected components as sorted vertex lists, ordered by smallest member."""
-    seen = np.zeros(g.n, dtype=bool)
-    comps = []
-    for v in range(g.n):
-        if seen[v]:
-            continue
-        levels = bfs_levels(g, [v])
-        comp = np.flatnonzero(levels >= 0)
-        seen[comp] = True
-        comps.append([int(x) for x in comp])
-    return comps
 
 
 # -- text formats -------------------------------------------------------------

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .bounds import minor_density_target
 from .errors import ConstructionStalled, InvariantViolation
 from .expansion import (
@@ -35,7 +33,7 @@ from .expansion import (
     extract_expander,
     size_cap,
 )
-from .graph import Graph, Path, average_degree, bfs_levels
+from .graph import Graph, Path, average_degree, bfs_levels, reached_in_order
 from .routing import (
     backtrack_chain,
     entry_path,
@@ -110,18 +108,15 @@ def find_nice_sets(
         found = None
         for v in avail[:probe_size]:
             levels = bfs_levels(h, [v], avoid=used, radius=d.k, stop_size=size)
-            reached = sorted(
-                (int(levels[u]), int(u)) for u in np.flatnonzero(levels >= 0)
-            )
+            reached = reached_in_order(levels)
             if len(reached) >= size:
-                found = (v, reached)
+                found = (v, reached[:size], int(levels[reached[size - 1]]))
                 break
         if found is None:
             log.info("nice-set harvest stalled after %d of %d sets", len(out), count)
             break
-        v, reached = found
-        kept = frozenset(u for _r, u in reached[:size])
-        radius = max(r for r, _u in reached[:size])
+        v, reached, radius = found
+        kept = frozenset(reached.tolist())
         out.append(NiceSet(vertices=kept, center=v, radius_bound=radius))
         used |= kept
     return out

@@ -14,7 +14,16 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, Path, bfs_parents, trace_path
+from .graph import (
+    Graph,
+    Path,
+    _layer_step,
+    _mask,
+    bfs_parents,
+    first_exit,
+    reached_in_order,
+    trace_path,
+)
 
 
 class BallFamily:
@@ -28,16 +37,12 @@ class BallFamily:
         self.sizes = {}
         self.coverage = np.zeros(g.n, dtype=np.int16)
         self._blocked = {}
-        common = np.zeros(g.n, dtype=bool)
-        if len(avoid_common):
-            common[sorted(int(v) for v in avoid_common)] = True
+        common = _mask(g.n, avoid_common)
         for i in self.indices:
             seeds = sorted(int(v) for v in seed_sets[i])
             lv = np.full(g.n, -1, dtype=np.int32)
             lv[seeds] = 0
-            blocked = common.copy()
-            if avoid_extra and i in avoid_extra and len(avoid_extra[i]):
-                blocked[sorted(int(v) for v in avoid_extra[i])] = True
+            blocked = common | _mask(g.n, (avoid_extra or {}).get(i, ()))
             if blocked[seeds].any():
                 raise ValueError(f"seed of ball {i} lies in its avoid set")
             self.levels[i] = lv
@@ -49,33 +54,17 @@ class BallFamily:
 
     def grow_round(self, active=None) -> bool:
         """Advance every (active) ball by one BFS layer.  True if any grew."""
-        g = self.g
-        indptr, indices = g._indptr, g._indices
         grew = False
         for i in self.indices if active is None else active:
             frontier = self.frontiers[i]
             if not len(frontier):
                 continue
-            lv = self.levels[i]
-            blocked = self._blocked[i]
-            starts = indptr[frontier]
-            counts = (indptr[frontier + 1] - starts).astype(np.int64)
-            total = int(counts.sum())
-            if total == 0:
-                self.frontiers[i] = frontier[:0]
-                continue
-            offs = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-            flat = indices[offs + np.arange(total, dtype=np.int64)]
-            cand = flat[(lv[flat] < 0) & ~blocked[flat]]
-            if len(cand) == 0:
-                self.frontiers[i] = frontier[:0]
-                continue
-            new = np.unique(cand).astype(np.int64)
-            lv[new] = self.radius + 1
+            new, _ = _layer_step(self.g, frontier, self.levels[i], self._blocked[i])
+            self.levels[i][new] = self.radius + 1
             self.coverage[new] += 1
             self.frontiers[i] = new
             self.sizes[i] += len(new)
-            grew = True
+            grew = grew or len(new) > 0
         if grew:
             self.radius += 1
         return grew
@@ -115,10 +104,7 @@ def grow_balls_to_common_hub(
     walked through where the per-ball avoid sets allow it).
     """
     fam = BallFamily(g, seed_sets, avoid_common, avoid_extra)
-    mask = None
-    if forbid is not None and len(forbid):
-        mask = np.zeros(g.n, dtype=bool)
-        mask[sorted(int(v) for v in forbid)] = True
+    mask = _mask(g.n, forbid) if forbid is not None and len(forbid) else None
     want = len(fam.indices)
     while True:
         hub, cov = fam.best_hub(mask)
@@ -176,10 +162,10 @@ def trim_to_size(g: Graph, members, center: int, size: int) -> frozenset:
     if size < 1:
         raise ValueError("size must be positive")
     levels, _ = bfs_parents(g, [center], allowed=members)
-    ranked = sorted(levels.items(), key=lambda kv: (kv[1], kv[0]))
+    ranked = reached_in_order(levels)
     if len(ranked) < size:
         raise ValueError("set too small to trim to requested size")
-    return frozenset(v for v, _r in ranked[:size])
+    return frozenset(ranked[:size].tolist())
 
 
 def entry_path(
@@ -201,21 +187,15 @@ def entry_path(
     target_set = {int(v) for v in target_set}
     source = int(source)
     if source in target_set:
-        inside = _path_inside(g, target_set, source, target_center)
-        return inside
+        return path_through_scaffold(g, target_set, source, target_center)
     outside_allowed = (scaffold - target_set) | {source}
     levels, parents = bfs_parents(g, [source], allowed=outside_allowed)
-    entry = None
-    for u, _r in sorted(levels.items(), key=lambda kv: (kv[1], kv[0])):
-        hits = [int(w) for w in g.neighbors(u) if int(w) in target_set]
-        if hits:
-            entry = (u, min(hits))
-            break
+    entry = first_exit(g, levels, target_set)
     if entry is None:
         return None
-    u, w = entry
+    _r, u, w = entry
     outside = trace_path(parents, u)
-    inside = _path_inside(g, target_set, w, target_center)
+    inside = path_through_scaffold(g, target_set, w, target_center)
     if inside is None:
         return None
     verts = tuple(outside) + tuple(inside.vertices)
@@ -224,18 +204,12 @@ def entry_path(
     return Path(verts)
 
 
-def _path_inside(g: Graph, members: set, src: int, dst: int) -> Optional[Path]:
-    levels, parents = bfs_parents(g, [src], allowed=members, target=dst)
-    if dst not in levels:
-        return None
-    return Path(tuple(trace_path(parents, int(dst))))
-
-
 def path_through_scaffold(g: Graph, scaffold, src: int, dst: int) -> Optional[Path]:
-    """Shortest path from src to dst using only scaffold vertices."""
+    """Shortest path from src to dst using only scaffold vertices (the
+    endpoints are always allowed); None if there is none."""
     allowed = {int(v) for v in scaffold}
     allowed.update((int(src), int(dst)))
     levels, parents = bfs_parents(g, [src], allowed=allowed, target=dst)
-    if dst not in levels:
+    if levels[dst] < 0:
         return None
     return Path(tuple(trace_path(parents, int(dst))))

@@ -37,7 +37,16 @@ from .expansion import (
     extract_expander,
     size_cap,
 )
-from .graph import Graph, Path, average_degree, bfs_levels, bfs_parents, trace_path
+from .graph import (
+    Graph,
+    Path,
+    average_degree,
+    bfs_levels,
+    bfs_parents,
+    first_exit,
+    reached_in_order,
+    trace_path,
+)
 from .minor import build_small_minor, conflict_prune
 from .routing import (
     backtrack_chain,
@@ -449,10 +458,10 @@ def _harvest_corners(h, w, t, d, p):
         if v in used:
             continue
         lv = bfs_levels(h, [v], avoid=used - {v}, radius=d.l, stop_size=thr)
-        reached = sorted((int(lv[u]), int(u)) for u in np.flatnonzero(lv >= 0))
+        reached = reached_in_order(lv)
         if len(reached) < set_size:
             continue
-        keep = frozenset(u for _r, u in reached[: min(thr, len(reached))])
+        keep = frozenset(reached[:thr].tolist())
         pockets[len(pockets)] = keep
         centers[len(centers)] = v
         used |= keep
@@ -518,7 +527,7 @@ def _probe_corner_balls(h, w, x, bhubs, state, qpaths, centers, d):
     """Residual corner balls plus the first exit (if any) into x minus B."""
     size_budget = 2 * log2m(h.n) + 32
     live_paths = state.live_paths() + [qpaths[k] for k in sorted(qpaths) if k[1] in set(state.indices)]
-    bset = set(bhubs)
+    exit_targets = set(x) - set(bhubs)
     base_avoid = set(w)
     for path in live_paths:
         base_avoid.update(path.vertices)
@@ -532,25 +541,8 @@ def _probe_corner_balls(h, w, x, bhubs, state, qpaths, centers, d):
         avoid = base_avoid - {v}
         levels, parents = bfs_parents(h, [v], avoid=avoid, radius=d.l, stop_size=size_budget)
         balls[i] = (levels, parents)
-        exits[i] = _first_exit(h, levels, x, bset, d.l)
+        exits[i] = first_exit(h, levels, exit_targets, max_level=d.l - 1)
     return exits, balls
-
-
-def _first_exit(h, levels, w, bset, radius):
-    best = None
-    for u, r in sorted(levels.items(), key=lambda kv: (kv[1], kv[0])):
-        if r > radius - 1:
-            break
-        for nb in h.neighbors(u):
-            nb = int(nb)
-            if nb in w and nb not in bset:
-                cand = (r, u, nb)
-                if best is None or cand < best:
-                    best = cand
-                break
-        if best is not None and best[0] <= r:
-            break
-    return best
 
 
 def _sparse_q_step(h, w, x, bhubs, state, qpaths, centers, exits, balls, beta, d, t, need):
@@ -591,13 +583,12 @@ def _sparse_q_step(h, w, x, bhubs, state, qpaths, centers, exits, balls, beta, d
 
 def _route_exit(h, w, x, bhubs, state, qpaths, centers, balls, i, b, taken, d):
     v = centers[i]
-    ex = None
     levels, parents = balls[i]
-    clean = all(u not in taken for u in levels)
-    if clean:
-        first = _first_exit(h, levels, x, set(bhubs), d.l)
+    ex = None
+    if not any(levels[u] >= 0 for u in taken):
+        first = first_exit(h, levels, set(x) - set(bhubs), max_level=d.l - 1)
         if first is not None and first[2] == b:
-            ex = (first[1], levels, parents)
+            ex = first
     if ex is None:
         avoid = set(w) | taken
         for path in state.live_paths():
@@ -606,18 +597,12 @@ def _route_exit(h, w, x, bhubs, state, qpaths, centers, balls, i, b, taken, d):
             avoid.update(qpaths[key].vertices)
         avoid.update(centers[j] for j in state.indices)
         avoid.discard(v)
-        lv, pr = bfs_parents(h, [v], avoid=avoid, radius=d.l)
-        for u, r in sorted(lv.items(), key=lambda kv: (kv[1], kv[0])):
-            if r > d.l - 1:
-                break
-            if any(int(nb) == b for nb in h.neighbors(u)):
-                ex = (u, lv, pr)
-                break
+        # an exit lies within radius l - 1, so the last layer is never needed
+        levels, parents = bfs_parents(h, [v], avoid=avoid, radius=d.l - 1)
+        ex = first_exit(h, levels, [b])
     if ex is None:
         return None
-    u, lv, pr = ex
-    verts = tuple(trace_path(pr, u)) + (b,)
-    return Path(verts)
+    return Path(tuple(trace_path(parents, ex[1])) + (b,))
 
 
 def _sparse_p_step(h, w, state, qpaths, centers, pockets, balls, case2, alpha, d, p, t, thr, need):
@@ -630,9 +615,7 @@ def _sparse_p_step(h, w, state, qpaths, centers, pockets, balls, case2, alpha, d
     tsets = {}
     for i in case2:
         levels, _parents = balls[i]
-        ranked = sorted((r, u) for u, r in levels.items())
-        keep = frozenset(u for _r, u in ranked[: min(thr, len(ranked))])
-        tsets[i] = keep
+        tsets[i] = frozenset(reached_in_order(levels)[:thr].tolist())
     avoid = set(w)
     for path in state.live_paths():
         avoid.update(path.vertices)
@@ -885,7 +868,7 @@ def _route_unit_hub_path(h, units, trimmed, fam, i, alpha, hub, taken, avoid_ext
     avoid.discard(center)
     allowed_avoid = avoid - set(own)
     lv, pr = bfs_parents(h, [center], avoid=allowed_avoid | (taken - {hub}), target=hub)
-    if hub not in lv:
+    if lv[hub] < 0:
         return None
     path = Path(tuple(trace_path(pr, hub)))
     if path.length > 2 * d.k:
@@ -1029,13 +1012,10 @@ def find_subdivision_pipeline(
                 )
             units = got
         if len(units) < t + 1:
-            return SubdivisionPipelineResult(
-                outcome="stalled",
-                extraction=extraction,
-                detail=f"only {len(units)} units built, need {t + 1} to connect",
-                params=params,
-                scales=scales,
-                route=route,
+            raise ConstructionStalled(
+                f"only {len(units)} units built, need {t + 1} to connect",
+                stage="units",
+                diagnostics={"units": len(units), "needed": t + 1},
             )
         model_local = connect_units(h, units, t, scales, params)
     except ConstructionStalled as exc:
@@ -1053,6 +1033,7 @@ def find_subdivision_pipeline(
             detail=f"{exc} | diagnostics: {exc.diagnostics}",
             params=params,
             scales=scales,
+            route=route,
         )
     model = model_local.remap(sub.new_to_old)
     _certify_subdivision(g, model)

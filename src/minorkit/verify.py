@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .expansion import DerivedScales, size_cap, small_set_rate, small_size_cap
-from .graph import Graph, is_connected_set, neighborhood
+from .graph import Graph, eccentricity_within, is_connected_set, neighborhood
 from .witnesses import MinorModel, SubdivisionModel, Unit
 
 BRUTE_FORCE_MAX_N = 14
@@ -148,7 +148,7 @@ def verify_unit(g: Graph, u: Unit, d: DerivedScales) -> VerificationReport:
             report.add("sets_disjoint", f"set {i} overlaps an earlier set")
         seen |= s
     for i, s in enumerate(u.sets):
-        ecc = _center_eccentricity(g, s, u.centers[i])
+        ecc = eccentricity_within(g, s, u.centers[i])
         if ecc is None:
             report.add("set_connected", f"set {i} is not connected")
         elif ecc > d.k:
@@ -173,27 +173,6 @@ def verify_unit(g: Graph, u: Unit, d: DerivedScales) -> VerificationReport:
                     f"spokes {i},{j} share {sorted(shared - {u.corner})[:5]}",
                 )
     return report
-
-
-def _center_eccentricity(g: Graph, members, center: int) -> Optional[int]:
-    members = set(members)
-    seen = {center}
-    frontier = [center]
-    ecc = 0
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors(v):
-                w = int(w)
-                if w in members and w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if nxt:
-            ecc += 1
-        frontier = nxt
-    if len(seen) != len(members):
-        return None
-    return ecc
 
 
 # -- brute-force oracles -------------------------------------------------------

@@ -1,0 +1,82 @@
+"""The benchmark's traced run wraps minorkit functions by module attribute.
+
+``perfbench/tracer.py`` replaces names such as ``minorkit.subdivision.bfs_parents``
+in the namespaces of the calling modules.  A rename in minorkit breaks
+``perfbench/run.py --trace 1`` without failing any other test, so these tests
+check that every hook point resolves, is wrapped on install and is restored
+on uninstall.  The tracer is loaded from its file and never modified.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# hook points the traced benchmark reports on; each must keep its name
+REQUIRED = [
+    ("expansion", "induced_subgraph"),
+    ("graph", "bfs_levels"),
+    ("expansion", "bfs_levels"),
+    ("minor", "bfs_levels"),
+    ("subdivision", "bfs_levels"),
+    ("graph", "bfs_parents"),
+    ("routing", "bfs_parents"),
+    ("subdivision", "bfs_parents"),
+    ("minor", "path_through_scaffold"),
+    ("subdivision", "path_through_scaffold"),
+    ("minor", "backtrack_chain"),
+    ("subdivision", "backtrack_chain"),
+    ("minor", "entry_path"),
+    ("subdivision", "trim_to_size"),
+]
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave no cache file next to the tracer
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def hook_points(tracer_module):
+    return [site for _name, _counter, sites in tracer_module.PATCHES for site in sites]
+
+
+def test_required_hook_points_are_patched(tracer_module):
+    assert set(REQUIRED) <= set(hook_points(tracer_module))
+
+
+def test_every_hook_point_resolves_wraps_and_restores(tracer_module):
+    sites = hook_points(tracer_module)
+    originals = {}
+    for module, attr in sites:
+        mod = importlib.import_module(f"minorkit.{module}")
+        assert callable(getattr(mod, attr, None)), f"minorkit.{module}.{attr} is missing"
+        originals[(module, attr)] = getattr(mod, attr)
+    graph_cls = importlib.import_module("minorkit.graph").Graph
+    init = graph_cls.__init__
+
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        for (module, attr), original in originals.items():
+            wrapped = getattr(importlib.import_module(f"minorkit.{module}"), attr)
+            assert wrapped is not original
+            assert wrapped.__wrapped__ is original
+        assert graph_cls.__init__ is not init
+    finally:
+        tracer.uninstall()
+
+    for (module, attr), original in originals.items():
+        assert getattr(importlib.import_module(f"minorkit.{module}"), attr) is original
+    assert graph_cls.__init__ is init

@@ -1,5 +1,7 @@
 """Graph generators: reproducibility, realized statistics, girth measurement."""
 
+import math
+import random
 
 import pytest
 
@@ -107,3 +109,37 @@ class TestGirth:
         # complete bipartite K_2,3 has girth 4, caught by cross-layer edges
         g = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
         assert girth(g) == 4
+
+    def test_matches_loop_reference(self):
+        # random sparse graphs and trees with a few chords, against the
+        # per-root loop BFS that girth used before it ran on the CSR kernel
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            edges = {(rng.randrange(i), i) for i in range(1, n)} if rng.random() < 0.6 else set()
+            for _ in range(rng.randint(0, 2 * n if not edges else 3)):
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v:
+                    edges.add((min(u, v), max(u, v)))
+            g = Graph(n, edges)
+            assert girth(g) == girth_reference(g), sorted(edges)
+
+
+def girth_reference(g):
+    best = math.inf
+    for root in range(g.n):
+        dist = {root: 0}
+        parent = {root: -1}
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in map(int, g.neighbors(u)):
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        parent[w] = u
+                        nxt.append(w)
+                    elif w != parent[u] and parent[w] != u:
+                        best = min(best, dist[u] + dist[w] + 1)
+            frontier = nxt
+    return None if best == math.inf else best

@@ -1,8 +1,10 @@
 """Core graph representation and primitive operations."""
 
+import random
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from minorkit import (
     parse_graph_text,
     set_radius_center,
 )
-from minorkit.graph import bfs_levels, to_edge_list_text
+from minorkit.graph import bfs_levels, bfs_parents, first_exit, to_edge_list_text, trace_path
 
 from conftest import complete_graph, cycle_graph, grid_graph, path_graph, petersen_graph, random_tree, star_graph
 
@@ -295,3 +297,83 @@ def test_bfs_levels_stop_size_completes_layer():
     levels = bfs_levels(g, [0], stop_size=3)
     # the whole first layer is taken even though 3 vertices were enough
     assert (levels >= 0).sum() == 9
+
+
+# the loop BFS that the CSR kernel replaced, kept as its reference: layers in
+# ascending id order, and the first (smallest-id) parent found wins
+def bfs_parents_reference(g, seeds, avoid=(), radius=None, target=None, allowed=None, stop_size=None):
+    levels = {v: 0 for v in sorted(set(seeds))}
+    parents = {v: -1 for v in levels}
+    frontier = sorted(levels)
+    r = 0
+    while frontier:
+        if radius is not None and r >= radius:
+            break
+        if target is not None and target in levels:
+            break
+        if stop_size is not None and len(levels) >= stop_size:
+            break
+        nxt = []
+        for u in frontier:
+            for w in map(int, g.neighbors(u)):
+                if w in levels or w in avoid or (allowed is not None and w not in allowed):
+                    continue
+                levels[w] = r + 1
+                parents[w] = u
+                nxt.append(w)
+        frontier = sorted(nxt)
+        r += 1
+    return levels, parents
+
+
+def random_graph(n, avg_degree, seed):
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    p = min(1.0, avg_degree / max(n - 1, 1))
+    return Graph(n, [e for e in pairs if rng.random() < p])
+
+
+class TestBfsKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.floats(0.5, 8.0), st.integers(0, 10**6), st.data())
+    def test_matches_loop_reference(self, n, avg_degree, seed, data):
+        g = random_graph(n, avg_degree, seed)
+        vertex = st.integers(0, n - 1)
+        seeds = data.draw(st.sets(vertex, min_size=1, max_size=3))
+        avoid = data.draw(st.sets(vertex, max_size=n // 3)) - seeds
+        allowed = data.draw(st.none() | st.sets(vertex))
+        radius = data.draw(st.none() | st.integers(0, 6))
+        target = data.draw(st.none() | vertex)
+        stop_size = data.draw(st.none() | st.integers(1, n))
+        levels, parents = bfs_parents(g, seeds, avoid=avoid, radius=radius, target=target,
+                                      allowed=allowed, stop_size=stop_size)
+        ref_levels, ref_parents = bfs_parents_reference(
+            g, seeds, avoid=avoid, radius=radius, target=target, allowed=allowed, stop_size=stop_size)
+        assert {v: int(levels[v]) for v in np.flatnonzero(levels >= 0)} == ref_levels
+        assert {v: int(parents[v]) for v in ref_levels} == ref_parents
+        plain = bfs_levels(g, seeds, avoid=avoid, radius=radius, stop_size=stop_size)
+        ref_plain, _ = bfs_parents_reference(g, seeds, avoid=avoid, radius=radius, stop_size=stop_size)
+        assert {v: int(plain[v]) for v in np.flatnonzero(plain >= 0)} == ref_plain
+        for v in ref_levels:
+            assert trace_path(parents, v)[0] in seeds
+            assert len(trace_path(parents, v)) == ref_levels[v] + 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 40), st.floats(0.5, 8.0), st.integers(0, 10**6), st.data())
+    def test_first_exit_is_earliest_adjacent_vertex(self, n, avg_degree, seed, data):
+        g = random_graph(n, avg_degree, seed)
+        source = data.draw(st.integers(0, n - 1))
+        targets = data.draw(st.sets(st.integers(0, n - 1))) - {source}
+        max_level = data.draw(st.none() | st.integers(0, 4))
+        levels, _ = bfs_parents(g, [source], avoid=targets)
+        expected = None
+        for u in sorted(np.flatnonzero(levels >= 0).tolist(), key=lambda u: (int(levels[u]), u)):
+            hits = [int(w) for w in g.neighbors(u) if int(w) in targets]
+            if hits and (max_level is None or levels[u] <= max_level):
+                expected = (int(levels[u]), u, min(hits))
+                break
+        assert first_exit(g, levels, targets, max_level) == expected
+
+    def test_seed_inside_avoid_errors(self):
+        with pytest.raises(ValueError, match="avoid"):
+            bfs_levels(path_graph(3), [1], avoid={1})

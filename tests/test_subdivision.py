@@ -318,6 +318,22 @@ class TestSubdivisionPipeline:
         assert res.minor_model is None
         assert res.outcome in ("subdivision", "handoff", "stalled")
 
+    def test_too_few_units_falls_back_to_minor(self):
+        # with max_units=3 the dense route builds 3 units, one short of t+1
+        from minorkit import verify_minor_model
+
+        g = gnp(1000, 400, seed=1)
+        res = find_subdivision_pipeline(g, 3, epsilon=1.0, mode="minor_or_subdivision", max_units=3)
+        assert (res.outcome, res.route) == ("minor", "minor-fallback")
+        assert verify_minor_model(g, res.minor_model).valid
+
+    def test_too_few_units_stalls_in_plain_mode(self):
+        g = gnp(1000, 400, seed=1)
+        res = find_subdivision_pipeline(g, 3, epsilon=1.0, max_units=3)
+        assert (res.outcome, res.route) == ("stalled", "dense")
+        assert res.minor_model is None
+        assert "only 3 units built" in res.detail
+
     def test_t2_yields_path(self):
         g = gnp(512, 20, seed=1)
         res = find_subdivision_pipeline(g, 2, epsilon=1.0)
