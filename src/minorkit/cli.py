@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .expansion import (
     OPS_PER_MS,
@@ -361,6 +362,8 @@ def _cmd_sweep(args) -> int:
     for r in records:
         ratio = "" if r.ratio is None else f" ratio={r.ratio:.2f}"
         print(f"{r.spec.label()} -> {r.outcome} size={r.witness_size}{ratio}")
+    outcomes = Counter(r.outcome for r in records)
+    print("summary: " + ", ".join(f"{k} {outcome}" for outcome, k in sorted(outcomes.items())))
     if args.csv_out:
         write_records_csv(records, args.csv_out)
     if args.json_out:

@@ -33,9 +33,10 @@ from .errors import InvariantViolation
 from .graph import (
     Graph,
     InducedSubgraph,
+    _gather,
+    _mask,
     bfs_levels,
     induced_subgraph,
-    neighborhood,
 )
 
 log = logging.getLogger(__name__)
@@ -241,11 +242,20 @@ BRANCH_CONTRACT = "contract_to_ball"
 
 @dataclass(frozen=True)
 class DichotomyStep:
+    """The branch taken and ``kept``, the sorted ids of the vertices it keeps."""
+
     branch: str
-    subgraph: InducedSubgraph
+    kept: np.ndarray
     set_size: int
     density_before: Fraction
     density_after: Fraction
+
+
+def _row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` over consecutive rows of the given lengths."""
+    ends = np.cumsum(counts)
+    totals = np.concatenate(([0], np.cumsum(values)))
+    return totals[ends] - totals[ends - counts]
 
 
 def dichotomy_step(g: Graph, q: FindDenseQuery, c: Fraction) -> DichotomyStep:
@@ -254,27 +264,32 @@ def dichotomy_step(g: Graph, q: FindDenseQuery, c: Fraction) -> DichotomyStep:
     Given S with |N(S)| < gamma |S| and c = d(G): either d(G - S) >= c (drop
     the set) or d(B(S)) >= (1 - gamma) c (contract to the ball around S).
     One of the two always holds; the chosen branch's guarantee is asserted.
+    Both densities come from edge counts over the rows of B(S) = S + N(S).
     """
-    s = set(q.s)
-    if not s:
+    if not q.s:
         raise ValueError("empty violating set")
-    nb = neighborhood(g, s)
-    if len(nb) >= q.gamma * len(s):
+    in_s = _mask(g.n, q.s)
+    s = np.flatnonzero(in_s)
+    in_ball = in_s.copy()
+    in_ball[_gather(g, s)[0]] = True
+    ball = np.flatnonzero(in_ball)
+    if len(ball) - len(s) >= q.gamma * len(s):
         raise ValueError("not a violating set")
     c = Fraction(c)
-    rest = set(g.vertices()) - s
-    if rest:
-        sub_rest = induced_subgraph(g, rest)
-        d_rest = Fraction(2 * sub_rest.graph.edge_count, sub_rest.graph.n)
+    flat, counts = _gather(g, ball)
+    owner_in_s = np.repeat(in_s[ball], counts)
+    inside_s = int(np.count_nonzero(owner_in_s & in_s[flat])) // 2  # e(S)
+    touching_s = int(np.count_nonzero(owner_in_s)) - inside_s  # e(S) + e(S, N(S))
+    if len(s) < g.n:
+        d_rest = Fraction(2 * (g.edge_count - touching_s), g.n - len(s))
         if d_rest >= c:
-            return DichotomyStep(BRANCH_DROP, sub_rest, len(s), c, d_rest)
-    sub_ball = induced_subgraph(g, s | set(nb))
-    d_ball = Fraction(2 * sub_ball.graph.edge_count, sub_ball.graph.n)
+            return DichotomyStep(BRANCH_DROP, np.flatnonzero(~in_s), len(s), c, d_rest)
+    d_ball = Fraction(int(np.count_nonzero(in_ball[flat])), len(ball))
     if d_ball < (1 - Fraction(q.gamma)) * c:
         raise InvariantViolation(
             f"dichotomy guarantee failed: d(ball)={d_ball} < (1-{q.gamma})*{c}"
         )
-    return DichotomyStep(BRANCH_CONTRACT, sub_ball, len(s), c, d_ball)
+    return DichotomyStep(BRANCH_CONTRACT, ball, len(s), c, d_ball)
 
 
 # -- violating-set search -----------------------------------------------------
@@ -402,26 +417,27 @@ def _local_search(h: Graph, seed: int, cap: int, size_cap_local: int, violation,
     """
     if budget <= 0:
         return None
-    s = {seed}
-    boundary = {int(w) for w in h.neighbors(seed)}
-    spent = 0
-    while len(s) < size_cap_local and boundary and spent < budget:
-        best = None
-        for u in sorted(boundary):
-            gain = sum(1 for w in h.neighbors(u) if int(w) not in s and int(w) not in boundary)
-            spent += h.degree(u)
-            if best is None or (gain, u) < best:
-                best = (gain, u)
-            if spent >= budget:
-                break
-        u = best[1]
-        s.add(u)
-        boundary.discard(u)
-        boundary.update(int(w) for w in h.neighbors(u) if int(w) not in s)
-        if len(s) <= cap:
-            gamma = violation(len(s), len(boundary))
+    in_s = _mask(h.n, [seed])
+    in_b = _mask(h.n, h.neighbors(seed))
+    degs = h.degrees()
+    size, spent = 1, 0
+    while size < size_cap_local and in_b.any() and spent < budget:
+        # price the sorted boundary up to the vertex whose degree uses up the budget
+        boundary = np.flatnonzero(in_b)
+        cost = np.cumsum(degs[boundary])
+        priced = min(int(np.searchsorted(cost, budget - spent)) + 1, len(boundary))
+        spent += int(cost[priced - 1])
+        flat, counts = _gather(h, boundary[:priced])
+        gains = _row_sums(~(in_s[flat] | in_b[flat]), counts)
+        u = boundary[np.argmin(gains)]  # least gain, then least id
+        in_s[u] = True
+        in_b[h.neighbors(u)] = True
+        in_b &= ~in_s
+        size += 1
+        if size <= cap:
+            gamma = violation(size, int(np.count_nonzero(in_b)))
             if gamma is not None:
-                return FindDenseQuery(gamma=gamma, s=frozenset(s))
+                return FindDenseQuery(gamma=gamma, s=frozenset(np.flatnonzero(in_s).tolist()))
     return None
 
 
@@ -492,13 +508,12 @@ def extract_expander(
     n_cur = g.n
     e_cur = g.edge_count
 
-    heap = [(int(deg[v]), v) for v in range(g.n)]
+    heap = list(zip(deg.tolist(), range(g.n)))
     heapq.heapify(heap)
 
     def peel_phase():
         nonlocal n_cur, e_cur
-        # min degree < d/2  <=>  2*deg*n < 2*2e  <=>  deg*n < e... careful:
-        # d = 2e/n, want deg >= d/2 = e/n, i.e. peel while deg*n < e.
+        # peel while deg < d/2 = e/n, i.e. while deg*n < e
         while n_cur > 1:
             while heap and (not alive[heap[0][1]] or heap[0][0] != deg[heap[0][1]]):
                 heapq.heappop(heap)
@@ -519,44 +534,34 @@ def extract_expander(
                     heapq.heappush(heap, (int(deg[w]), w))
             trace.append(("min_degree_peel", 1, before, Fraction(2 * e_cur, n_cur)))
 
-    def rebuild():
-        members = [int(v) for v in np.flatnonzero(alive)]
-        return induced_subgraph(g, members)
-
     while True:
         peel_phase()
+        members = np.flatnonzero(alive)
+        sub = induced_subgraph(g, members)
         if n_cur <= floor_n or n_cur < 3:
             mode = MODE_BELOW_THRESHOLD
             break
-        cur = rebuild()
-        scales = derived_scales(cur.graph.n, p)
-        q = find_violating_set(cur.graph, scales, p, small_set_mode, budget_ops)
+        scales = derived_scales(sub.graph.n, p)
+        q = find_violating_set(sub.graph, scales, p, small_set_mode, budget_ops)
         if q is None:
             mode = MODE_SMALL_SET if small_set_mode else MODE_PLAIN
             break
         before = Fraction(2 * e_cur, n_cur)
-        step = dichotomy_step(cur.graph, q, before)
-        keep_local = set(step.subgraph.new_to_old)
-        keep_global = {cur.new_to_old[v] for v in keep_local}
-        for v in np.flatnonzero(alive):
-            v = int(v)
-            if v not in keep_global:
-                alive[v] = False
+        step = dichotomy_step(sub.graph, q, before)
+        survivors = members[step.kept]
+        alive[:] = False
+        alive[survivors] = True
         # recompute degrees/counters on the survivor set
+        flat, counts = _gather(g, survivors)
         deg[:] = 0
-        e_cur = 0
-        for v in sorted(keep_global):
-            dv = sum(1 for w in g.neighbors(v) if alive[int(w)])
-            deg[v] = dv
-            e_cur += dv
-        e_cur //= 2
-        n_cur = len(keep_global)
-        heap = [(int(deg[v]), v) for v in sorted(keep_global)]
+        deg[survivors] = _row_sums(alive[flat], counts)
+        e_cur = int(deg.sum()) // 2
+        n_cur = len(survivors)
+        heap = list(zip(deg[survivors].tolist(), survivors.tolist()))
         heapq.heapify(heap)
         action = "cut_drop" if step.branch == BRANCH_DROP else "cut_contract"
         trace.append((action, step.set_size, before, Fraction(2 * e_cur, n_cur)))
 
-    sub = rebuild()
     achieved = Fraction(2 * sub.graph.edge_count, sub.graph.n)
     result = ExtractionResult(
         subgraph=sub,

@@ -110,8 +110,7 @@ def _gnp_by_avg_degree(n: int, avg_degree: float, seed: int) -> Graph:
     total = n * (n - 1) // 2
     if p >= 1.0:
         lin = np.arange(total, dtype=np.int64)
-        u, v = _pair_from_linear(n, lin)
-        return Graph(n, zip(u.tolist(), v.tolist()))
+        return Graph(n, np.column_stack(_pair_from_linear(n, lin)))
     gen = np.random.Generator(np.random.PCG64(seed))
     # geometric skipping: visits only the sampled pair indices
     logq = math.log1p(-p)
@@ -129,8 +128,7 @@ def _gnp_by_avg_degree(n: int, avg_degree: float, seed: int) -> Graph:
         batch = 1024
     lin = np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)
     lin = lin[lin < total]
-    u, v = _pair_from_linear(n, lin)
-    return Graph(n, zip(u.tolist(), v.tolist()))
+    return Graph(n, np.column_stack(_pair_from_linear(n, lin)))
 
 
 def _random_regular(n: int, d: int, seed: int) -> Graph:
@@ -192,18 +190,16 @@ def _dense_blobs(n: int, density: float, blob_count: int, seed: int) -> Graph:
     if min(sizes) < 1:
         raise ValueError("more blobs than vertices")
     children = np.random.SeedSequence(seed).spawn(blob_count)
-    edges = []
+    blocks = [np.empty((0, 2), dtype=np.int64)]
     offset = 0
     for size, child in zip(sizes, children):
         gen = np.random.Generator(np.random.PCG64(child))
         if size >= 2:
             total = size * (size - 1) // 2
-            mask = gen.random(total) < density
-            lin = np.flatnonzero(mask).astype(np.int64)
-            u, v = _pair_from_linear(size, lin)
-            edges.extend((int(a) + offset, int(b) + offset) for a, b in zip(u, v))
+            lin = np.flatnonzero(gen.random(total) < density)
+            blocks.append(np.column_stack(_pair_from_linear(size, lin)) + offset)
         offset += size
-    return Graph(n, edges)
+    return Graph(n, np.concatenate(blocks))
 
 
 def _grid_torus(n: int) -> Graph:
@@ -212,13 +208,10 @@ def _grid_torus(n: int) -> Graph:
         raise ValueError("grid_torus needs a square vertex count")
     if side < 3:
         raise ValueError("grid_torus needs side length >= 3")
-    edges = []
-    for r in range(side):
-        for c in range(side):
-            v = r * side + c
-            edges.append((v, r * side + (c + 1) % side))
-            edges.append((v, ((r + 1) % side) * side + c))
-    return Graph(n, edges)
+    r, c = np.divmod(np.arange(n), side)
+    right = np.column_stack((r * side + c, r * side + (c + 1) % side))
+    down = np.column_stack((r * side + c, ((r + 1) % side) * side + c))
+    return Graph(n, np.concatenate((right, down)))
 
 
 def girth(g: Graph) -> Optional[int]:

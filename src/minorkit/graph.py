@@ -1,9 +1,11 @@
 """Immutable simple undirected graphs and the primitive set/ball/path operations.
 
-Vertices are dense integer ids ``0..n-1``.  Adjacency is stored in CSR form
-(numpy arrays) with each neighbor row sorted, so iteration order is always
-deterministic.  Graphs are immutable after construction; "deleting" vertices
-means building a relabeled induced subgraph that carries its id mapping.
+Vertices are dense integer ids ``0..n-1``.  ``Graph(n, edges)``, the one
+constructor, takes an ``(m, 2)`` integer array or any iterable of pairs and
+builds CSR adjacency (numpy arrays, each neighbor row sorted, so iteration
+order is deterministic) with array operations only.  Graphs are immutable;
+"deleting" vertices means masking and relabeling the CSR rows into an
+induced subgraph that carries its id mapping.
 
 Vertex sets are plain ``set``/``frozenset`` objects.  Every traversal runs on
 one BFS kernel over the CSR arrays and a boolean blocked mask: layers are
@@ -78,27 +80,24 @@ class Graph:
 
     __slots__ = ("n", "edge_count", "_indptr", "_indices")
 
-    def __init__(self, n: int, edges: Iterable[tuple] = (), _csr=None):
-        if n < 0:
-            raise ValueError("negative vertex count")
-        self.n = int(n)
-        if _csr is not None:
-            indptr, indices = _csr
-            self._indptr = indptr
-            self._indices = indices
-            self.edge_count = int(len(indices) // 2)
-            return
-        eu, ev = [], []
-        for u, v in edges:
-            u, v = int(u), int(v)
+    def __init__(self, n: int, edges: Iterable = ()):
+        n = int(n)
+        if not 0 <= n <= 2**31 - 1:
+            raise ValueError(f"vertex count {n} outside 0..{2**31 - 1} (ids are int32)")
+        self.n = n
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        pairs = pairs.reshape(0, 2) if pairs.shape == (0,) else pairs
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if bad.any():
+            u, v = map(int, pairs[np.argmax(bad)])
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range 0..{n - 1}")
-            eu.append(u)
-            ev.append(v)
-        self._indptr, self._indices = _build_csr(self.n, eu, ev)
-        self.edge_count = int(len(self._indices) // 2)
+            raise ValueError(f"edge ({u},{v}) out of range 0..{n - 1}")
+        self._indptr, self._indices = _build_csr(n, pairs)
+        self.edge_count = len(self._indices) // 2
 
     # -- accessors ---------------------------------------------------------
 
@@ -122,11 +121,9 @@ class Graph:
 
     def edges(self):
         """Iterate edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            for w in self.neighbors(u):
-                w = int(w)
-                if u < w:
-                    yield (u, w)
+        u = np.repeat(np.arange(self.n), self.degrees())
+        up = u < self._indices
+        return zip(u[up].tolist(), self._indices[up].tolist())
 
     def adjacency_lists(self) -> list:
         return [list(map(int, self.neighbors(v))) for v in range(self.n)]
@@ -134,26 +131,27 @@ class Graph:
     def min_degree(self) -> int:
         return int(self.degrees().min()) if self.n else 0
 
-    def max_degree(self) -> int:
-        return int(self.degrees().max()) if self.n else 0
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _build_csr(n: int, eu: list, ev: list):
-    if not eu:
-        return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32)
-    u = np.asarray(eu + ev, dtype=np.int64)
-    v = np.asarray(ev + eu, dtype=np.int64)
-    key = u * n + v
-    key = np.unique(key)  # dedupe parallel edges
-    u = (key // n).astype(np.int32)
-    v = (key % n).astype(np.int32)
-    counts = np.bincount(u, minlength=n)
+def _build_csr(n: int, pairs: np.ndarray) -> tuple:
+    u, v = pairs[:, 0], pairs[:, 1]
+    key = _unique(np.concatenate((u * n + v, v * n + u)))  # both directions; dedupes
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, v
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    return indptr, (key % n).astype(np.int32)
+
+
+def _unique(a: np.ndarray, return_first: bool = False):
+    """Sorted distinct values of an integer array (with ``return_first``, also
+    each one's first index), by sort and flag: numpy 2.x's ``np.unique`` hashes
+    integers first, about 50 times slower than a sort on 656k edge keys.
+    """
+    order = np.argsort(a, kind="stable") if return_first else None
+    a = a[order] if return_first else np.sort(a)
+    flag = np.diff(a, prepend=a[:1] - 1) != 0
+    return (a[flag], order[flag]) if return_first else a[flag]
 
 
 class InducedSubgraph(NamedTuple):
@@ -229,8 +227,8 @@ def _layer_step(g: Graph, frontier: np.ndarray, levels: np.ndarray, blocked: np.
     flat, counts = _gather(g, frontier)
     keep = (levels[flat] < 0) & ~blocked[flat]
     if not parents:
-        return np.unique(flat[keep]), None
-    new, first = np.unique(flat[keep], return_index=True)
+        return _unique(flat[keep]), None
+    new, first = _unique(flat[keep], return_first=True)
     return new, np.repeat(frontier, counts)[keep][first]
 
 
@@ -248,7 +246,7 @@ def _bfs(g: Graph, seeds: Iterable[int], blocked: np.ndarray, radius: Optional[i
     """
     levels = np.full(g.n, -1, dtype=np.int32)
     parent = np.full(g.n, -1, dtype=np.int32) if parents else None
-    frontier = np.unique(np.fromiter(map(int, seeds), dtype=np.int64))
+    frontier = _unique(np.fromiter(map(int, seeds), dtype=np.int64))
     levels[frontier] = 0
     size = len(frontier)
     r = 0
@@ -339,7 +337,7 @@ def first_exit(g: Graph, levels: np.ndarray, targets: Iterable[int],
     none.  The scan gathers the targets' neighbor rows, so its cost follows
     the targets, not the ball.
     """
-    targets = np.unique(np.fromiter(map(int, targets), dtype=np.int64))
+    targets = _unique(np.fromiter(map(int, targets), dtype=np.int64))
     if not len(targets):
         return None
     flat, counts = _gather(g, targets)
@@ -423,28 +421,27 @@ def consecutive_shortest_paths(
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> InducedSubgraph:
-    """Relabeled induced subgraph on ``s`` with its bijective id mapping."""
-    new_to_old = sorted({int(v) for v in s})
-    if not new_to_old:
+    """Relabeled induced subgraph on ``s`` with its bijective id mapping.
+
+    Ids are relabeled in increasing order; each edge comes from the row of its
+    smaller end, as a kept neighbor with a larger new id.
+    """
+    keep = _unique(s.astype(np.int64) if isinstance(s, np.ndarray)
+                   else np.fromiter(map(int, s), dtype=np.int64))
+    if not len(keep):
         raise ValueError("empty set")
-    for v in (new_to_old[0], new_to_old[-1]):
+    for v in (int(keep[0]), int(keep[-1])):
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
-    old_to_new = {v: i for i, v in enumerate(new_to_old)}
-    keep = np.zeros(g.n, dtype=bool)
-    keep[new_to_old] = True
     relab = np.full(g.n, -1, dtype=np.int64)
-    relab[new_to_old] = np.arange(len(new_to_old))
-    eu, ev = [], []
-    for v in new_to_old:
-        row = g.neighbors(v)
-        row = row[keep[row]]
-        row = row[row > v]
-        if len(row):
-            eu.extend([old_to_new[v]] * len(row))
-            ev.extend(int(x) for x in relab[row])
-    sub = Graph(len(new_to_old), zip(eu, ev))
-    return InducedSubgraph(sub, tuple(new_to_old), old_to_new)
+    relab[keep] = np.arange(len(keep))
+    flat, counts = _gather(g, keep)
+    owner = relab[np.repeat(keep, counts)]
+    new = relab[flat]
+    up = new > owner
+    sub = Graph(len(keep), np.column_stack((owner[up], new[up])))
+    new_to_old = keep.tolist()
+    return InducedSubgraph(sub, tuple(new_to_old), dict(zip(new_to_old, range(len(keep)))))
 
 
 # -- text formats -------------------------------------------------------------

@@ -43,7 +43,7 @@ class ExperimentRecord:
     t: int
     epsilon: float
     mode: str
-    outcome: str  # minor | subdivision | handoff | stalled
+    outcome: str  # minor | subdivision | handoff | stalled | error
     witness_size: Optional[int] = None
     log_n: float = 0.0
     ratio: Optional[float] = None
@@ -172,11 +172,11 @@ def run_experiment_sweep(
             records.append(
                 run_one(spec, t, epsilon, mode, stop_floor, budget_ops, keep_witness)
             )
-        except Exception as exc:  # noqa: BLE001 - a sweep must survive bad entries
+        except Exception as exc:  # noqa: BLE001 - a bug or bad spec is an error, not a stall
             records.append(
                 ExperimentRecord(
                     spec=spec, t=t, epsilon=epsilon, mode=mode,
-                    outcome="stalled", detail=f"error: {exc}",
+                    outcome="error", detail=f"{type(exc).__name__}: {exc}",
                 )
             )
     return records

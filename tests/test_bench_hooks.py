@@ -48,6 +48,35 @@ def tracer_module():
     return module
 
 
+SPECS = [
+    ("gnp_avg_degree", 300, 12.0, 1),
+    ("random_regular", 120, 6.0, 1),
+    ("dense_blobs", 120, 0.5, 3),
+    ("grid_torus", 64, 0.0, 1),
+]
+
+
+@pytest.mark.parametrize("family,n,param,blobs", SPECS)
+def test_construct_spans_count_edges(tracer_module, family, n, param, blobs):
+    # every graph is built through Graph.__init__, so each build shows as one
+    # graph.construct span carrying its edge count
+    minorkit = importlib.import_module("minorkit")
+    expansion = importlib.import_module("minorkit.expansion")
+    spec = minorkit.GeneratorSpec(family=family, n=n, param=param, blob_count=blobs, seed=5)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        g = minorkit.generate(spec, with_girth=False).graph
+        sub = expansion.induced_subgraph(g, range(0, n, 2))
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names == ["graph.construct", "graph.induced_subgraph", "graph.construct"]
+    assert tracer.spans[0][4] == {"edges": g.edge_count} and g.edge_count > 0
+    assert tracer.spans[2][1] == 1  # built inside the induced_subgraph span
+    assert tracer.spans[2][4] == {"edges": sub.graph.edge_count} and sub.graph.edge_count > 0
+
+
 def hook_points(tracer_module):
     return [site for _name, _counter, sites in tracer_module.PATCHES for site in sites]
 

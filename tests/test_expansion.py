@@ -20,6 +20,7 @@ from minorkit import (
     extract_expander,
     find_violating_set,
     grow_ball_guaranteed,
+    induced_subgraph,
     neighborhood,
 )
 from minorkit.expansion import (
@@ -28,6 +29,7 @@ from minorkit.expansion import (
     MODE_BELOW_THRESHOLD,
     MODE_PLAIN,
     DerivedScales,
+    _local_search,
 )
 
 from conftest import complete_graph, gnp, petersen_graph, two_cliques_bridge
@@ -146,6 +148,86 @@ class TestDichotomy:
             assert step.density_after >= c
         else:
             assert step.density_after >= (1 - Fraction(gamma)) * c
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 30), st.floats(0.5, 5.0), st.integers(0, 10**6), st.data())
+    def test_densities_match_induced_subgraph_reference(self, n, avg_degree, seed, data):
+        g = gnp(n, avg_degree, seed)
+        if g.edge_count == 0:
+            return
+        s = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+        gamma = data.draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))
+        if len(neighborhood(g, s)) >= gamma * len(s):
+            return
+        c = average_degree(g)
+        step = dichotomy_step(g, FindDenseQuery(gamma=gamma, s=frozenset(s)), c)
+        assert (step.branch, step.kept.tolist(), step.density_after) == \
+            dichotomy_reference(g, s, c)
+        kept = induced_subgraph(g, step.kept).graph
+        assert step.density_after == Fraction(2 * kept.edge_count, kept.n)
+
+
+# the rule that built both induced subgraphs, kept as the reference
+def dichotomy_reference(g, s, c):
+    rest = set(range(g.n)) - set(s)
+    if rest:
+        sub = induced_subgraph(g, rest).graph
+        if Fraction(2 * sub.edge_count, sub.n) >= c:
+            return BRANCH_DROP, sorted(rest), Fraction(2 * sub.edge_count, sub.n)
+    ball = set(s) | neighborhood(g, s)
+    sub = induced_subgraph(g, ball).graph
+    return BRANCH_CONTRACT, sorted(ball), Fraction(2 * sub.edge_count, sub.n)
+
+
+# the set-based local search that the mask version replaced, kept as its reference
+def local_search_reference(h, seed, cap, size_cap_local, violation, budget):
+    if budget <= 0:
+        return None
+    s = {seed}
+    boundary = {int(w) for w in h.neighbors(seed)}
+    spent = 0
+    while len(s) < size_cap_local and boundary and spent < budget:
+        best = None
+        for u in sorted(boundary):
+            gain = sum(1 for w in h.neighbors(u) if int(w) not in s and int(w) not in boundary)
+            spent += h.degree(u)
+            if best is None or (gain, u) < best:
+                best = (gain, u)
+            if spent >= budget:
+                break
+        u = best[1]
+        s.add(u)
+        boundary.discard(u)
+        boundary.update(int(w) for w in h.neighbors(u) if int(w) not in s)
+        if len(s) <= cap:
+            gamma = violation(len(s), len(boundary))
+            if gamma is not None:
+                return FindDenseQuery(gamma=gamma, s=frozenset(s))
+    return None
+
+
+class TestLocalSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 80), st.floats(0.5, 12.0), st.integers(0, 10**6), st.data())
+    def test_matches_set_reference(self, n, avg_degree, seed, data):
+        h = gnp(n, avg_degree, seed)
+        vertex = data.draw(st.integers(0, n - 1))
+        cap = data.draw(st.integers(1, n))
+        size_cap_local = data.draw(st.integers(1, 40))
+        budget = data.draw(st.integers(-1, 3000))
+        fire_at = data.draw(st.none() | st.integers(1, 40))
+        runs = []
+        for search in (_local_search, local_search_reference):
+            calls = []
+
+            def violation(size, nb_size):
+                # records every priced step; reports a violation on call ``fire_at``
+                calls.append((size, nb_size))
+                return 0.5 if len(calls) == fire_at else None
+
+            runs.append((search(h, vertex, cap, size_cap_local, violation, budget), calls))
+        assert runs[0] == runs[1]
 
 
 class TestFindViolatingSet:

@@ -77,6 +77,75 @@ class TestGraphConstruction:
         assert sum(g.degree(v) for v in g.vertices()) == 2 * g.edge_count
 
 
+# the per-edge loop that the array constructor replaced, kept as its reference
+def csr_reference(n, edges):
+    eu, ev = [], []
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range 0..{n - 1}")
+        eu.append(u)
+        ev.append(v)
+    if not eu:
+        return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32)
+    u = np.asarray(eu + ev, dtype=np.int64)
+    v = np.asarray(ev + eu, dtype=np.int64)
+    key = np.unique(u * n + v)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    return indptr, (key % n).astype(np.int32)
+
+
+def assert_csr_equal(g, indptr, indices):
+    assert g._indptr.dtype == np.int64 and g._indices.dtype == np.int32
+    assert np.array_equal(g._indptr, indptr)
+    assert np.array_equal(g._indices, indices)
+    assert g.edge_count == len(indices) // 2
+
+
+class TestArrayConstruction:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 30), st.data())
+    def test_matches_loop_reference(self, n, data):
+        vertex = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                                   max_size=80))
+        indptr, indices = csr_reference(n, pairs)
+        flipped = [(v, u) for u, v in pairs]
+        for edges in (pairs, set(pairs), pairs + flipped, flipped, iter(pairs),
+                      np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                      np.array(flipped, dtype=np.int32).reshape(-1, 2)):
+            assert_csr_equal(Graph(n, edges), indptr, indices)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_bad_pairs_raise_like_the_loop(self, n, data):
+        vertex = st.integers(-2, n + 2)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=12))
+        try:
+            indptr, indices = csr_reference(n, pairs)
+        except ValueError as exc:
+            for edges in (pairs, np.array(pairs)):
+                with pytest.raises(ValueError) as raised:
+                    Graph(n, edges)
+                assert str(raised.value) == str(exc)  # the same first bad pair
+        else:
+            assert_csr_equal(Graph(n, np.array(pairs)), indptr, indices)
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 2)], [(0,)], [()], [(0, 1), (1, 2, 0)],
+                                       np.zeros((2, 3), dtype=np.int64), np.array([0, 1])])
+    def test_rejects_input_that_is_not_pairs(self, edges):
+        with pytest.raises(ValueError):
+            Graph(3, edges)
+
+    @pytest.mark.parametrize("n", [2**31, 10**12])
+    def test_rejects_vertex_count_beyond_int32_ids(self, n):
+        with pytest.raises(ValueError, match="outside 0..2147483647"):
+            Graph(n, [(0, 1)])
+
+
 class TestAverageDegree:
     def test_cycle_is_two_regular(self):
         assert average_degree(cycle_graph(5)) == 2
@@ -257,6 +326,32 @@ class TestInducedSubgraph:
         }
         assert got == expect
         assert sorted(sub.old_to_new.values()) == list(range(len(s)))
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.floats(0.5, 8.0), st.integers(0, 10**6), st.data())
+    def test_matches_loop_reference(self, n, avg_degree, seed, data):
+        g = random_graph(n, avg_degree, seed)
+        s = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        (indptr, indices), new_to_old, old_to_new = induced_reference(g, s)
+        for members in (s, sorted(s), np.array(sorted(s), dtype=np.int64)):
+            sub = induced_subgraph(g, members)
+            assert_csr_equal(sub.graph, indptr, indices)
+            assert sub.new_to_old == new_to_old
+            assert sub.old_to_new == old_to_new
+
+
+# the per-vertex loop that mask-and-relabel replaced, kept as its reference
+def induced_reference(g, s):
+    new_to_old = sorted({int(v) for v in s})
+    old_to_new = {v: i for i, v in enumerate(new_to_old)}
+    eu, ev = [], []
+    for v in new_to_old:
+        for w in map(int, g.neighbors(v)):
+            if w > v and w in old_to_new:
+                eu.append(old_to_new[v])
+                ev.append(old_to_new[w])
+    return csr_reference(len(new_to_old), zip(eu, ev)), tuple(new_to_old), old_to_new
 
 
 class TestPathType:

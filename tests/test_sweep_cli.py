@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from minorkit import GeneratorSpec
+from minorkit import GeneratorSpec, InvariantViolation, sweep
 from minorkit.cli import main
 from minorkit.graph import to_edge_list_text
 from minorkit.sweep import (
@@ -48,6 +48,19 @@ class TestSweep:
         assert records[1].outcome in ("stalled", "handoff")
         assert not records[1].verifier_valid
         assert records[2].outcome == "minor"
+
+    def test_exception_is_recorded_as_error(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise InvariantViolation("injected")
+
+        monkeypatch.setattr(sweep, "find_minor_pipeline", broken)
+        spec = GeneratorSpec(family="gnp_avg_degree", n=64, param=8.0, seed=0)
+        [record] = run_experiment_sweep([spec], t=3, epsilon=1.0)
+        assert record.outcome == "error"
+        assert record.detail == "InvariantViolation: injected"
+        code = main(["sweep", "--family", "gnp_avg_degree", "--ns", "64", "--param", "8", "--t", "3"])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines()[-1] == "summary: 1 error"
 
     def test_no_success_without_verifier(self):
         specs = [GeneratorSpec(family="gnp_avg_degree", n=300, param=25.0, seed=s) for s in range(3)]
@@ -119,6 +132,15 @@ class TestCli:
         witness = tmp_path / "witness.json"
         witness.write_text(json.dumps(payload["witness"]))
         assert main(["verify", "--input", str(graph_file), "--witness", str(witness)]) == 0
+
+    @pytest.mark.parametrize("vertex", [3 * 10**9, 10**12])
+    def test_vertex_id_beyond_int32_is_an_input_error(self, tmp_path, capsys, vertex):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"0 1\n1 {vertex}\n")
+        assert main(["find-minor", "--input", str(path), "--t", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "outside 0..2147483647" in err
+        assert "Traceback" not in err
 
     def test_find_minor_not_found_exit_code(self, tmp_path):
         tree = random_tree(300, seed=4)
