@@ -3,7 +3,7 @@
 Subcommands: gen, extract-expander, find-minor, find-subdivision, verify,
 oracle, sweep.  Exit codes: 0 = success with a witness (or a confirmed
 property), 2 = not found / stalled / property refuted (diagnostics emitted),
-1 = usage or input error.
+1 = usage or input error, 3 = internal error (a broken invariant, a bug).
 
 The --budget-ms flag is interpreted as a deterministic work budget
 (milliseconds times a fixed per-millisecond operation rate), so identical
@@ -17,6 +17,7 @@ import json
 import sys
 from collections import Counter
 
+from .errors import InvariantViolation
 from .expansion import (
     OPS_PER_MS,
     ExpansionParams,
@@ -45,6 +46,7 @@ from .witnesses import MinorModel, SubdivisionModel, Unit
 EXIT_WITNESS = 0
 EXIT_USAGE = 1
 EXIT_NOT_FOUND = 2
+EXIT_INTERNAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,6 +171,9 @@ def main(argv=None) -> int:
         return handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _cmd_gen(args) -> int:
@@ -232,6 +237,7 @@ def _cmd_find_minor(args) -> int:
     payload = {
         "outcome": res.outcome,
         "detail": res.detail,
+        "diagnostics": res.diagnostics,
         "witness_size": res.witness_size,
         "brute_force_answer": res.brute_force_answer,
     }
@@ -256,6 +262,7 @@ def _cmd_find_subdivision(args) -> int:
         "outcome": res.outcome,
         "route": res.route,
         "detail": res.detail,
+        "diagnostics": res.diagnostics,
         "witness_size": res.witness_size,
         "brute_force_answer": res.brute_force_answer,
     }

@@ -68,9 +68,6 @@ class Path:
     def __contains__(self, v) -> bool:
         return v in self.vertices
 
-    def reversed(self) -> "Path":
-        return Path(tuple(reversed(self.vertices)))
-
     def valid_in(self, g: "Graph") -> bool:
         return all(g.has_edge(u, w) for u, w in zip(self.vertices, self.vertices[1:]))
 

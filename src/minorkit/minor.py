@@ -187,6 +187,42 @@ def conflict_prune(sets: list, paths: list, path_len_bound: int) -> list:
     return chosen
 
 
+def route_and_prune(stage, hub, covered, fam, need, route, prune_sets, path_bound) -> dict:
+    """The rest of one hub round, after ``grow_balls_to_common_hub``.
+
+    Calls ``route(i, hub, fam)`` for every covered index, drops paths that are
+    None or longer than ``path_bound``, and keeps a conflict-free subset by
+    :func:`conflict_prune` against ``prune_sets[i]``.  Returns
+    ``{index: path}`` for the survivors in index order.  Raises
+    ConstructionStalled when fewer than ``need`` balls are covered or fewer
+    than ``need`` paths survive; its diagnostics always carry the keys
+    ``stage``, ``covered``, ``routed``, ``pruned_to``, ``needed`` and
+    ``ball_sizes``.
+    """
+    def stall(reason, routed, pruned_to):
+        raise ConstructionStalled(
+            f"construction stalled at stage {stage}: {reason}, need {need}",
+            stage=stage,
+            diagnostics={
+                "stage": stage, "covered": len(covered), "routed": routed,
+                "pruned_to": pruned_to, "needed": need, "ball_sizes": dict(fam.sizes),
+            },
+        )
+
+    if len(covered) < need:
+        stall(f"hub covers {len(covered)} balls", 0, 0)
+    routed = {}
+    for i in covered:
+        path = route(i, hub, fam)
+        if path is not None and path.length <= path_bound:
+            routed[i] = path
+    kept = list(routed)
+    keep_pos = conflict_prune([prune_sets[i] for i in kept], list(routed.values()), path_bound)
+    if len(keep_pos) < need:
+        stall(f"{len(keep_pos)} survivors of {len(kept)} routed paths", len(kept), len(keep_pos))
+    return {kept[pos]: routed[kept[pos]] for pos in keep_pos}
+
+
 # -- staged construction --------------------------------------------------------
 
 
@@ -232,116 +268,73 @@ def build_small_minor(
 
     for alpha in range(t - 1):
         state.alpha = alpha
-        survivors = _run_stage(h, t, d, p, state, by_index, ball_cap, alpha)
-        state.index_set = survivors
+        state.index_set = _run_stage(h, t, d, state, by_index, ball_cap, alpha)
 
-    final_candidates = [i for i in state.index_set if i not in state.hubs]
-    if not final_candidates:
-        raise ConstructionStalled(
-            "no index left to carry the final branch set",
-            stage=t - 1,
-            diagnostics=state.summary(),
-        )
-    state.hubs.append(min(final_candidates))
+    # every stage keeps at least t-1-alpha survivors, so one is left here
+    state.hubs.append(min(state.index_set))
 
     model = _assemble_branch_sets(t, state, by_index)
     _certify(h, model)
-    targets_met = _asymptotic_targets_met(m, p.eta, t, count)
-    if targets_met and model.total_vertices > 4 * d.k * t * t:
+    if _asymptotic_targets_met(m, t, count) and model.total_vertices > 4 * d.k * t * t:
         raise InvariantViolation(
             f"model uses {model.total_vertices} vertices, above the 4kt^2 bound"
         )
     return model
 
 
-def _run_stage(h, t, d, p, state, by_index, ball_cap, alpha) -> list:
-    live = [i for i in state.index_set if i not in state.hubs]
-    if len(live) < 2:
-        raise ConstructionStalled(
-            f"construction stalled at stage {alpha}: {len(live)} surviving sets",
-            stage=alpha,
-            diagnostics=state.summary(),
-        )
-    seed_sets = {i: by_index[i].vertices for i in live}
+def _run_stage(h, t, d, state, by_index, ball_cap, alpha) -> list:
+    # the index set never holds a retired hub: a stage's hub index is its
+    # least covered index, and only the other covered indices survive
+    seed_sets = {i: by_index[i].vertices for i in state.index_set}
     hub, covered, fam = grow_balls_to_common_hub(
         h, seed_sets, avoid_common=state.forbidden, radius_cap=d.k, size_cap=ball_cap
     )
-    if len(covered) < 2:
-        raise ConstructionStalled(
-            f"construction stalled at stage {alpha}: hub covers {len(covered)} balls",
-            stage=alpha,
-            diagnostics={
-                **state.summary(),
-                "ball_sizes": {i: fam.sizes[i] for i in live},
-                "hub_multiplicity": len(covered),
-            },
-        )
-    hub_index = min(covered)
-    targets = [i for i in covered if i != hub_index]
-    hub_set = by_index[hub_index]
-
-    paths = []
-    kept_targets = []
-    for i in targets:
-        path = _route_stage_path(h, fam, hub, hub_set, hub_index, by_index[i], i, d)
-        if path is None:
-            continue
-        _assert_stage_path_shape(path, by_index[i].vertices, 4 * d.k)
-        paths.append(path)
-        kept_targets.append(i)
-    if not kept_targets:
-        raise ConstructionStalled(
-            f"construction stalled at stage {alpha}: no routable targets",
-            stage=alpha,
-            diagnostics=state.summary(),
-        )
-    keep_positions = conflict_prune(
-        [by_index[i].vertices for i in kept_targets], paths, 4 * d.k
+    hub_index = min(covered, default=None)
+    kept = route_and_prune(
+        alpha, hub, covered, fam, t - 1 - alpha,
+        lambda i, hub, fam: _route_stage_path(h, d, by_index, hub_index, i, hub, fam),
+        {i: by_index[i].vertices for i in covered}, 4 * d.k,
     )
-    survivors = [kept_targets[pos] for pos in keep_positions]
-    needed = t - 1 - alpha
-    if len(survivors) < needed:
-        raise ConstructionStalled(
-            f"construction stalled at stage {alpha}: {len(survivors)} survivors, need {needed}",
-            stage=alpha,
-            diagnostics={**state.summary(), "pruned_to": len(survivors)},
-        )
-    for pos in keep_positions:
-        i = kept_targets[pos]
-        state.stage_paths[(alpha, i)] = paths[pos]
-
     # forbid the used outside segments, and retire the hub along with the
     # interior segments already routed into its set at earlier stages
-    for pos in keep_positions:
-        i = kept_targets[pos]
-        outside = [v for v in paths[pos].vertices if v not in by_index[i].vertices]
-        state.forbidden.update(outside)
+    for i, path in kept.items():
+        state.stage_paths[(alpha, i)] = path
+        state.forbidden.update(v for v in path.vertices if v not in by_index[i].vertices)
+    hub_set = by_index[hub_index].vertices
     for s in range(alpha):
         prev = state.stage_paths.get((s, hub_index))
         if prev is not None:
-            state.forbidden.update(v for v in prev.vertices if v in hub_set.vertices)
+            state.forbidden.update(v for v in prev.vertices if v in hub_set)
     state.hubs.append(hub_index)
-    for i in survivors:
+    for i in kept:
         if state.forbidden & by_index[i].vertices:
             raise InvariantViolation("forbidden set leaked into a surviving nice set")
-    return survivors
+    return list(kept)
 
 
-def _route_stage_path(h, fam, hub, hub_set, hub_index, target_ns, target_index, d):
+def _route_stage_path(h, d, by_index, hub_index, i, hub, fam):
+    """Path from the hub set's center through ``hub`` into set ``i``, entering
+    it once; None for the hub index itself or when no such path exists."""
+    if i == hub_index:
+        return None
+    hub_set, target = by_index[hub_index], by_index[i]
     chain_hub = backtrack_chain(h, fam.levels[hub_index], hub)
-    chain_tgt = backtrack_chain(h, fam.levels[target_index], hub)
+    chain_tgt = backtrack_chain(h, fam.levels[i], hub)
     inside0 = path_through_scaffold(h, hub_set.vertices, hub_set.center, chain_hub[0])
     if inside0 is None:
         return None
-    scaffold = set(inside0.vertices) | set(chain_hub) | set(chain_tgt) | set(target_ns.vertices)
-    return entry_path(
+    scaffold = set(inside0.vertices) | set(chain_hub) | set(chain_tgt) | set(target.vertices)
+    path = entry_path(
         h,
         scaffold,
         source=hub_set.center,
-        target_set=target_ns.vertices,
-        target_center=target_ns.center,
+        target_set=target.vertices,
+        target_center=target.center,
         max_len=4 * d.k,
     )
+    if path is not None:
+        _assert_stage_path_shape(path, target.vertices, 4 * d.k)
+    return path
 
 
 def _assert_stage_path_shape(path: Path, target_set: frozenset, max_len: int):
@@ -383,7 +376,7 @@ def _assemble_branch_sets(t: int, state: StageState, by_index: dict) -> MinorMod
     return MinorModel(t, tuple(branch_sets), stage_trace=state.summary())
 
 
-def _asymptotic_targets_met(m: int, eta: float, t: int, count: int) -> bool:
+def _asymptotic_targets_met(m: int, t: int, count: int) -> bool:
     """True when the harvested family met the full asymptotic cardinality target."""
     return count >= math.floor(m ** 0.25) >= 4 * (t + 1)
 
@@ -404,6 +397,7 @@ class MinorPipelineResult:
     extraction: Optional[ExtractionResult] = None
     brute_force_answer: Optional[bool] = None
     detail: str = ""
+    diagnostics: dict = field(default_factory=dict)  # ConstructionStalled.diagnostics
     params: Optional[ExpansionParams] = None
     scales: Optional[DerivedScales] = None
 
@@ -463,7 +457,8 @@ def find_minor_pipeline(
         return MinorPipelineResult(
             outcome="stalled",
             extraction=extraction,
-            detail=f"{exc} | diagnostics: {exc.diagnostics}",
+            detail=str(exc),
+            diagnostics=exc.diagnostics,
             params=params,
             scales=scales,
         )

@@ -52,10 +52,10 @@ class BallFamily:
             self._blocked[i] = blocked
         self.radius = 0
 
-    def grow_round(self, active=None) -> bool:
-        """Advance every (active) ball by one BFS layer.  True if any grew."""
+    def grow_round(self) -> bool:
+        """Advance every ball by one BFS layer.  True if any grew."""
         grew = False
-        for i in self.indices if active is None else active:
+        for i in self.indices:
             frontier = self.frontiers[i]
             if not len(frontier):
                 continue

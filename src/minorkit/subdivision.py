@@ -47,7 +47,7 @@ from .graph import (
     reached_in_order,
     trace_path,
 )
-from .minor import build_small_minor, conflict_prune
+from .minor import build_small_minor, route_and_prune
 from .routing import (
     backtrack_chain,
     grow_balls_to_common_hub,
@@ -281,62 +281,48 @@ def _one_dense_unit(h, split, t, d, p, w0) -> Unit:
 
 @dataclass
 class _ConnectState:
-    indices: list
-    paths: dict = field(default_factory=dict)  # (round, idx) -> Path
-    hubs: list = field(default_factory=list)
+    """Surviving indices of the unit rounds and their stored paths: ``paths``
+    keyed (round, idx), plus on the sparse route the boundary paths
+    ``qpaths`` keyed (beta, idx) and the boundary corners ``bhubs``.  Paths
+    are kept for surviving indices only."""
 
-    def live_paths(self):
-        return [self.paths[k] for k in sorted(self.paths) if k[1] in set(self.indices)]
+    indices: list
+    paths: dict = field(default_factory=dict)
+    qpaths: dict = field(default_factory=dict)
+    bhubs: list = field(default_factory=list)
+
+    def used(self, w) -> set:
+        """``w`` plus every vertex of a stored path."""
+        out = set(w)
+        for path in (*self.paths.values(), *self.qpaths.values()):
+            out.update(path.vertices)
+        return out
 
     def drop_to(self, survivors):
-        survivors = sorted(survivors)
-        keep = set(survivors)
+        self.indices = sorted(survivors)
+        keep = set(self.indices)
         self.paths = {k: v for k, v in self.paths.items() if k[1] in keep}
-        self.indices = survivors
+        self.qpaths = {k: v for k, v in self.qpaths.items() if k[1] in keep}
 
 
 def _dense_round(h, t, d, p, w0, centers, star_sets, work_sets, state, round_no):
-    avoid = set(w0)
-    for (rnd, i), path in state.paths.items():
-        avoid.update(path.vertices)
-        avoid.discard(centers[i])
-    seeds = {}
-    for i in state.indices:
-        pocket = {v for v in star_sets[i] if v not in avoid}
-        pocket.add(centers[i])
-        seeds[i] = pocket
+    # a stored path meets no other surviving star, so only the own centers
+    # of the survivors come back out of the avoid set
+    avoid = state.used(w0) - {centers[i] for i in state.indices}
+    seeds = {i: {v for v in star_sets[i] if v not in avoid} for i in state.indices}
     hub, covered, fam = grow_balls_to_common_hub(
         h, seeds, avoid_common=avoid, radius_cap=2 * d.k + 1,
         size_cap=size_cap(d.m, p.eta), forbid=avoid,
     )
-    if len(covered) < t + 1:
-        raise ConstructionStalled(
-            f"unit round {round_no}: hub covers {len(covered)} star balls, need {t + 1}",
-            stage=round_no,
-            diagnostics={"covered": len(covered), "ball_sizes": dict(fam.sizes)},
-        )
-    paths = []
-    kept = []
-    for i in covered:
+
+    def route(i, hub, fam):
         chain = backtrack_chain(h, fam.levels[i], hub)
-        verts = tuple(chain) if chain[0] == centers[i] else (centers[i],) + tuple(chain)
-        path = Path(verts)
-        if path.length > 2 * d.k + 2:
-            continue
-        paths.append(path)
-        kept.append(i)
-    keep_pos = conflict_prune([work_sets[i] for i in kept], paths, 2 * d.k + 2)
-    survivors = [kept[pos] for pos in keep_pos]
-    if len(survivors) < t + 1:
-        raise ConstructionStalled(
-            f"unit round {round_no}: {len(survivors)} survivors after pruning, need {t + 1}",
-            stage=round_no,
-            diagnostics={"pruned_to": len(survivors), "routed": len(kept)},
-        )
-    for pos in keep_pos:
-        state.paths[(round_no, kept[pos])] = paths[pos]
-    state.hubs.append(hub)
-    state.drop_to(survivors)
+        return Path(tuple(chain) if chain[0] == centers[i] else (centers[i],) + tuple(chain))
+
+    kept = route_and_prune(round_no, hub, covered, fam, t + 1, route, work_sets, 2 * d.k + 2)
+    for i, path in kept.items():
+        state.paths[(round_no, i)] = path
+    state.drop_to(kept)
 
 
 def _assemble_unit(h, t, d, p, state, centers, work_sets, set_size) -> Unit:
@@ -485,24 +471,20 @@ def _one_sparse_round(h, w, x, t, d, p) -> Union[Unit, SubdivisionModel]:
             diagnostics={"pockets": len(pockets), "forbidden": len(w)},
         )
     state = _ConnectState(indices=sorted(pockets))
-    qpaths = {}  # (beta, idx) -> Path
-    bhubs = []
     alpha = 0
     beta = 0
     while alpha < t and beta < t:
-        exits, balls = _probe_corner_balls(h, w, x, bhubs, state, qpaths, centers, d)
+        exits, balls = _probe_corner_balls(h, w, x, state, centers, d)
         case1 = sorted(i for i in state.indices if exits.get(i) is not None)
         case2 = sorted(i for i in state.indices if exits.get(i) is None)
 
         def q_step():
             need = need_subdiv if beta + 1 == t else 2
-            _sparse_q_step(h, w, x, bhubs, state, qpaths, centers, exits, balls,
-                           beta + 1, d, t, need)
+            _sparse_q_step(h, w, x, state, centers, exits, balls, beta + 1, d, need)
 
         def p_step():
             need = need_units if alpha + 1 == t else 2
-            _sparse_p_step(h, w, state, qpaths, centers, pockets, balls, case2,
-                           alpha + 1, d, p, t, thr, need)
+            _sparse_p_step(h, w, state, centers, pockets, balls, case2, alpha + 1, d, p, thr, need)
 
         # majority rule decides which case to pursue; if that step cannot keep
         # enough survivors the other one is attempted before giving up
@@ -520,32 +502,28 @@ def _one_sparse_round(h, w, x, t, d, p) -> Union[Unit, SubdivisionModel]:
     if alpha >= t:
         work_sets = {i: pockets[i] for i in state.indices}
         return _assemble_unit(h, t, d, p, state, centers, work_sets, set_size)
-    return _assemble_direct_subdivision(h, t, d, state, qpaths, bhubs, centers)
+    return _assemble_direct_subdivision(h, t, d, state, centers)
 
 
-def _probe_corner_balls(h, w, x, bhubs, state, qpaths, centers, d):
+def _probe_corner_balls(h, w, x, state, centers, d):
     """Residual corner balls plus the first exit (if any) into x minus B."""
     size_budget = 2 * log2m(h.n) + 32
-    live_paths = state.live_paths() + [qpaths[k] for k in sorted(qpaths) if k[1] in set(state.indices)]
-    exit_targets = set(x) - set(bhubs)
-    base_avoid = set(w)
-    for path in live_paths:
-        base_avoid.update(path.vertices)
+    exit_targets = set(x) - set(state.bhubs)
     # corner balls stay clear of every other live corner so that
     # boundary paths of different indices can never cross
-    base_avoid.update(centers[j] for j in state.indices)
+    base_avoid = state.used(w) | {centers[j] for j in state.indices}
     exits = {}
     balls = {}
     for i in state.indices:
         v = centers[i]
-        avoid = base_avoid - {v}
-        levels, parents = bfs_parents(h, [v], avoid=avoid, radius=d.l, stop_size=size_budget)
+        levels, parents = bfs_parents(h, [v], avoid=base_avoid - {v}, radius=d.l,
+                                      stop_size=size_budget)
         balls[i] = (levels, parents)
         exits[i] = first_exit(h, levels, exit_targets, max_level=d.l - 1)
     return exits, balls
 
 
-def _sparse_q_step(h, w, x, bhubs, state, qpaths, centers, exits, balls, beta, d, t, need):
+def _sparse_q_step(h, w, x, state, centers, exits, balls, beta, d, need):
     counts = {}
     for i in state.indices:
         ex = exits.get(i)
@@ -559,43 +537,34 @@ def _sparse_q_step(h, w, x, bhubs, state, qpaths, centers, exits, balls, beta, d
         )
     b = min(counts, key=lambda cand: (-counts[cand], cand))
     taken = set()
-    survivors = []
     new_paths = {}
     for i in state.indices:
-        path = _route_exit(h, w, x, bhubs, state, qpaths, centers, balls, i, b, taken, d)
+        path = _route_exit(h, w, x, state, centers, balls, i, b, taken, d)
         if path is None:
             continue
         new_paths[(beta, i)] = path
         taken.update(path.vertices[:-1])
-        survivors.append(i)
-    if len(survivors) < need:
+    if len(new_paths) < need:
         raise ConstructionStalled(
-            f"corner-to-boundary step kept {len(survivors)} survivors, need {need}",
+            f"corner-to-boundary step kept {len(new_paths)} survivors, need {need}",
             stage=("q", beta),
             diagnostics={"endpoint": b, "candidates": counts},
         )
-    qpaths.update(new_paths)
-    bhubs.append(b)
-    state.drop_to(survivors)
-    for key in [k for k in qpaths if k[1] not in set(state.indices)]:
-        del qpaths[key]
+    state.qpaths.update(new_paths)
+    state.bhubs.append(b)
+    state.drop_to(i for _beta, i in new_paths)
 
 
-def _route_exit(h, w, x, bhubs, state, qpaths, centers, balls, i, b, taken, d):
+def _route_exit(h, w, x, state, centers, balls, i, b, taken, d):
     v = centers[i]
     levels, parents = balls[i]
     ex = None
     if not any(levels[u] >= 0 for u in taken):
-        first = first_exit(h, levels, set(x) - set(bhubs), max_level=d.l - 1)
+        first = first_exit(h, levels, set(x) - set(state.bhubs), max_level=d.l - 1)
         if first is not None and first[2] == b:
             ex = first
     if ex is None:
-        avoid = set(w) | taken
-        for path in state.live_paths():
-            avoid.update(path.vertices)
-        for key in sorted(qpaths):
-            avoid.update(qpaths[key].vertices)
-        avoid.update(centers[j] for j in state.indices)
+        avoid = state.used(w) | taken | {centers[j] for j in state.indices}
         avoid.discard(v)
         # an exit lies within radius l - 1, so the last layer is never needed
         levels, parents = bfs_parents(h, [v], avoid=avoid, radius=d.l - 1)
@@ -605,7 +574,7 @@ def _route_exit(h, w, x, bhubs, state, qpaths, centers, balls, i, b, taken, d):
     return Path(tuple(trace_path(parents, ex[1])) + (b,))
 
 
-def _sparse_p_step(h, w, state, qpaths, centers, pockets, balls, case2, alpha, d, p, t, thr, need):
+def _sparse_p_step(h, w, state, centers, pockets, balls, case2, alpha, d, p, thr, need):
     if len(case2) < need:
         raise ConstructionStalled(
             f"corner-growth step has {len(case2)} inward corners, need {need}",
@@ -616,70 +585,43 @@ def _sparse_p_step(h, w, state, qpaths, centers, pockets, balls, case2, alpha, d
     for i in case2:
         levels, _parents = balls[i]
         tsets[i] = frozenset(reached_in_order(levels)[:thr].tolist())
-    avoid = set(w)
-    for path in state.live_paths():
-        avoid.update(path.vertices)
-    for key in sorted(qpaths):
-        if key[1] in set(state.indices):
-            avoid.update(qpaths[key].vertices)
-    for i in case2:
-        avoid.discard(centers[i])
-    avoid -= set().union(*tsets.values())
+    # each trimmed ball starts with its own corner, so the corners leave too
+    avoid = state.used(w) - set().union(*tsets.values())
     hub, covered, fam = grow_balls_to_common_hub(
         h, tsets, avoid_common=avoid, radius_cap=2 * d.k,
         size_cap=size_cap(d.m, p.eta), forbid=avoid | set(w),
     )
-    if len(covered) < need:
-        raise ConstructionStalled(
-            f"corner-growth step: hub covers {len(covered)} balls, need {need}",
-            stage=("p", alpha),
-            diagnostics={"ball_sizes": dict(fam.sizes)},
-        )
-    paths = []
-    kept = []
-    for i in covered:
+
+    def route(i, hub, fam):
         chain = backtrack_chain(h, fam.levels[i], hub)
         inner = path_through_scaffold(h, tsets[i], centers[i], chain[0])
         if inner is None:
-            continue
-        verts = tuple(inner.vertices) + tuple(chain[1:])
-        path = Path(verts)
-        if path.length > 2 * d.k + d.l:
-            continue
-        paths.append(path)
-        kept.append(i)
-    keep_pos = conflict_prune([pockets[i] for i in kept], paths, 2 * d.k + d.l)
-    survivors = [kept[pos] for pos in keep_pos]
-    if len(survivors) < need:
-        raise ConstructionStalled(
-            f"corner-growth step kept {len(survivors)} survivors after pruning, need {need}",
-            stage=("p", alpha),
-            diagnostics={"routed": len(kept)},
-        )
-    for pos in keep_pos:
-        state.paths[(alpha, kept[pos])] = paths[pos]
-    state.drop_to(survivors)
-    for key in [k for k in qpaths if k[1] not in set(state.indices)]:
-        del qpaths[key]
+            return None
+        return Path(tuple(inner.vertices) + tuple(chain[1:]))
+
+    kept = route_and_prune(("p", alpha), hub, covered, fam, need, route, pockets, 2 * d.k + d.l)
+    for i, path in kept.items():
+        state.paths[(alpha, i)] = path
+    state.drop_to(kept)
 
 
-def _assemble_direct_subdivision(h, t, d, state, qpaths, bhubs, centers) -> SubdivisionModel:
+def _assemble_direct_subdivision(h, t, d, state, centers) -> SubdivisionModel:
     need = t * (t - 1) // 2
-    if len(state.indices) < need or len(bhubs) < t:
+    if len(state.indices) < need or len(state.bhubs) < t:
         raise ConstructionStalled(
             f"subdivision route finished with {len(state.indices)} indices and"
-            f" {len(bhubs)} boundary corners, need {need} and {t}",
+            f" {len(state.bhubs)} boundary corners, need {need} and {t}",
             stage="subdivision-assembly",
-            diagnostics={"survivors": len(state.indices), "corners": len(bhubs)},
+            diagnostics={"survivors": len(state.indices), "corners": len(state.bhubs)},
         )
     chosen = sorted(state.indices)[:need]
-    corners = tuple(bhubs[:t])
+    corners = tuple(state.bhubs[:t])
     pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
     edge_paths = {}
     for pos, (i, j) in enumerate(pairs):
         idx = chosen[pos]
-        qa = qpaths.get((i + 1, idx))
-        qb = qpaths.get((j + 1, idx))
+        qa = state.qpaths.get((i + 1, idx))
+        qb = state.qpaths.get((j + 1, idx))
         if qa is None or qb is None:
             raise InvariantViolation(f"missing boundary path for pair {(i, j)}")
         scaffold = set(qa.vertices) | set(qb.vertices)
@@ -738,14 +680,7 @@ def connect_units(
     state = LexConnectState(indices=list(range(len(units))))
     for alpha in range(1, t + 1):
         for beta in range(1, t + 1):
-            state.position = (alpha, beta)
             _connect_step(h, units, trimmed, state, alpha, beta, t, d, p)
-    if len(state.indices) < t:
-        raise ConstructionStalled(
-            f"unit connection finished with {len(state.indices)} units, need {t}",
-            stage=(t, t),
-            diagnostics={"survivors": state.indices},
-        )
     chosen = sorted(state.indices)[:t]
     color, tag = kt_edge_coloring(t)
     edge_paths = {}
@@ -777,33 +712,23 @@ def connect_units(
 
 @dataclass
 class LexConnectState:
-    """State of the lexicographic unit connection: current position, hub
-    vertices, stored hub paths keyed (alpha, beta, unit), and survivors.
-    The stored-path conditions are asserted at every insertion."""
+    """State of the lexicographic unit connection: surviving units and the
+    stored hub paths keyed (alpha, beta, unit).  Every step keeps at least t
+    survivors.  The stored-path conditions are asserted at every insertion."""
 
     indices: list
-    position: tuple = (1, 0)
-    hubs: dict = field(default_factory=dict)   # (alpha, beta) -> vertex
     paths: dict = field(default_factory=dict)  # (alpha, beta, i) -> Path
 
 
 def _connect_step(h, units, trimmed, state: LexConnectState, alpha, beta, t, d, p):
     indices = state.indices
     qmap = state.paths
-    if len(indices) < t:
-        raise ConstructionStalled(
-            f"unit connection stalled before step ({alpha},{beta}):"
-            f" {len(indices)} survivors",
-            stage=(alpha, beta),
-            diagnostics={"survivors": indices},
-        )
     w = set()
     for i in indices:
         for sp in units[i].spokes:
             w.update(sp.vertices)
-    for key in sorted(qmap):
-        if key[2] in set(indices):
-            w.update(qmap[key].vertices)
+    for path in qmap.values():
+        w.update(path.vertices)
     seeds = {}
     avoid_extra = {}
     for i in indices:
@@ -815,41 +740,21 @@ def _connect_step(h, units, trimmed, state: LexConnectState, alpha, beta, t, d, 
         h, seeds, avoid_common=(), avoid_extra=avoid_extra,
         radius_cap=d.k, size_cap=size_cap(d.m, p.eta), forbid=w,
     )
-    if len(covered) < t:
-        raise ConstructionStalled(
-            f"step ({alpha},{beta}): hub covers {len(covered)} unit balls, need {t}",
-            stage=(alpha, beta),
-            diagnostics={"ball_sizes": dict(fam.sizes)},
-        )
     taken = set()
-    paths = []
-    kept = []
-    for i in covered:
+
+    def route(i, hub, fam):
         path = _route_unit_hub_path(h, units, trimmed, fam, i, alpha, hub, taken, avoid_extra[i], d)
-        if path is None:
-            continue
-        _assert_connect_bullets(path, qmap, units, indices, i, alpha, beta, hub, t)
-        paths.append(path)
-        kept.append(i)
-        taken.update(set(path.vertices) - {hub})
-    msets = []
-    for i in kept:
-        msets.append(frozenset().union(*[trimmed[(i, a)] for a in range(alpha - 1, t)]))
-    keep_pos = conflict_prune(msets, paths, 2 * d.k)
-    survivors = [kept[pos] for pos in keep_pos]
-    if len(survivors) < t:
-        raise ConstructionStalled(
-            f"step ({alpha},{beta}) kept {len(survivors)} units after pruning, need {t}",
-            stage=(alpha, beta),
-            diagnostics={"routed": len(kept), "pruned_to": len(survivors)},
-        )
-    for pos in keep_pos:
-        qmap[(alpha, beta, kept[pos])] = paths[pos]
-    state.hubs[(alpha, beta)] = hub
-    keep = set(survivors)
-    for key in [k for k in qmap if k[2] not in keep]:
-        del qmap[key]
-    state.indices = survivors
+        if path is not None:
+            _assert_connect_bullets(path, qmap, units, indices, i, alpha, beta, hub, t)
+            taken.update(set(path.vertices) - {hub})
+        return path
+
+    msets = {i: frozenset().union(*[trimmed[(i, a)] for a in range(alpha - 1, t)]) for i in covered}
+    kept = route_and_prune((alpha, beta), hub, covered, fam, t, route, msets, 2 * d.k)
+    for i, path in kept.items():
+        qmap[(alpha, beta, i)] = path
+    state.paths = {k: v for k, v in qmap.items() if k[2] in kept}
+    state.indices = list(kept)
 
 
 def _route_unit_hub_path(h, units, trimmed, fam, i, alpha, hub, taken, avoid_extra, d):
@@ -918,6 +823,7 @@ class SubdivisionPipelineResult:
     extraction: Optional[ExtractionResult] = None
     brute_force_answer: Optional[bool] = None
     detail: str = ""
+    diagnostics: dict = field(default_factory=dict)  # ConstructionStalled.diagnostics
     params: Optional[ExpansionParams] = None
     scales: Optional[DerivedScales] = None
     route: str = ""
@@ -1030,7 +936,8 @@ def find_subdivision_pipeline(
         return SubdivisionPipelineResult(
             outcome="stalled",
             extraction=extraction,
-            detail=f"{exc} | diagnostics: {exc.diagnostics}",
+            detail=str(exc),
+            diagnostics=exc.diagnostics,
             params=params,
             scales=scales,
             route=route,

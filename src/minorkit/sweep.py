@@ -147,7 +147,9 @@ def run_one(
             if keep_witness:
                 record.witness = model.to_json_dict()
         else:
-            record.outcome = "stalled"
+            # the pipeline certified this witness itself, so a rejection here
+            # means the two checks disagree: a bug, not a stall
+            record.outcome = "error"
             record.detail = f"verifier rejected the witness: {report.violations}"
     elif res.outcome == "handoff":
         record.outcome = "handoff"

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "test_golden.py"
 
 # hook points the traced benchmark reports on; each must keep its name
 REQUIRED = [
@@ -32,12 +33,13 @@ REQUIRED = [
     ("subdivision", "backtrack_chain"),
     ("minor", "entry_path"),
     ("subdivision", "trim_to_size"),
+    ("minor", "grow_balls_to_common_hub"),
+    ("subdivision", "grow_balls_to_common_hub"),
 ]
 
 
-@pytest.fixture(scope="module")
-def tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def load_file(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave no cache file next to the tracer
@@ -46,6 +48,11 @@ def tracer_module():
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    return load_file("perfbench_tracer", TRACER_PATH)
 
 
 SPECS = [
@@ -109,3 +116,31 @@ def test_every_hook_point_resolves_wraps_and_restores(tracer_module):
     for (module, attr), original in originals.items():
         assert getattr(importlib.import_module(f"minorkit.{module}"), attr) is original
     assert graph_cls.__init__ is init
+
+
+# one golden spec per hub-round construction, with the route it takes:
+# staged minor, dense units, sparse units joined by the unit connection
+TRACED_SPECS = [
+    (("minor", 4, "gnp_avg_degree", 200, 30.0, 1, 1), None),
+    (("subdivision", 3, "gnp_avg_degree", 1000, 400.0, 1, 1), "dense"),
+    (("subdivision", 3, "random_regular", 600, 12.0, 1, 3), "sparse"),
+]
+
+
+@pytest.mark.parametrize("spec,route", TRACED_SPECS)
+def test_ball_growth_and_routing_are_traced(tracer_module, spec, route):
+    # ball growth and routing must run from the patched namespaces, or the
+    # benchmark's routing layers read zero
+    golden = load_file("golden_specs", GOLDEN_PATH)
+    assert spec in golden.SPECS
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        fingerprint = golden.fingerprint(spec)
+    finally:
+        tracer.uninstall()
+    assert fingerprint["outcome"] in ("minor", "subdivision")
+    assert fingerprint["route"] == route
+    summary = tracer.summary()
+    for layer in ("routing.grow_balls", "routing.paths"):
+        assert summary.get(layer, {}).get("calls", 0) > 0, f"no {layer} span"

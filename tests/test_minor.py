@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from minorkit import (
     ConstructionStalled,
     ExpansionParams,
+    Graph,
     Path,
     build_small_minor,
     caro_wei_bound,
@@ -21,6 +22,7 @@ from minorkit import (
     set_radius_center,
     verify_minor_model,
 )
+from minorkit.minor import route_and_prune
 
 from conftest import (
     blobs,
@@ -35,6 +37,14 @@ from conftest import (
 
 def minor_params(t, m, delta=0.2):
     return ExpansionParams.for_minor(t=t, delta=delta, ambient_n=m)
+
+
+STALL_KEYS = {"stage", "covered", "routed", "pruned_to", "needed", "ball_sizes"}
+
+
+def disjoint_cliques(count, size):
+    return Graph(count * size, [(b + u, b + v) for b in range(0, count * size, size)
+                                for u, v in combinations(range(size), 2)])
 
 
 class TestFindNiceSets:
@@ -204,6 +214,41 @@ class TestConflictPrune:
             conflict_prune([frozenset({1})], [Path((2, 3, 4))], 1)
 
 
+class _Balls:
+    sizes = {0: 3, 1: 4, 2: 5, 3: 6}
+
+
+class TestRouteAndPrune:
+    sets = {i: frozenset({10 * i, 10 * i + 1}) for i in range(4)}
+
+    def run(self, need, paths):
+        return route_and_prune("s", 99, [0, 1, 2, 3], _Balls(), need,
+                               lambda i, hub, fam: paths[i], self.sets, 3)
+
+    def test_keeps_routed_paths_in_index_order(self):
+        paths = {0: Path((0, 99)), 1: None, 2: Path((20, 5, 6, 7, 99)), 3: Path((30, 99))}
+        kept = self.run(2, paths)
+        # None and the path over the length bound are dropped before pruning
+        assert list(kept.items()) == [(0, paths[0]), (3, paths[3])]
+
+    def test_stall_after_pruning_counts_each_step(self):
+        # every path runs through set 0, so the conflict graph is a star
+        paths = {0: Path((0, 99)), 1: Path((10, 0, 99)), 2: Path((20, 1, 99)), 3: None}
+        with pytest.raises(ConstructionStalled) as err:
+            self.run(3, paths)
+        assert err.value.stage == "s"
+        assert err.value.diagnostics == {
+            "stage": "s", "covered": 4, "routed": 3, "pruned_to": 2, "needed": 3,
+            "ball_sizes": _Balls.sizes,
+        }
+
+    def test_stall_before_routing(self):
+        with pytest.raises(ConstructionStalled) as err:
+            self.run(5, {})
+        assert err.value.diagnostics["covered"] == 4
+        assert err.value.diagnostics["routed"] == 0
+
+
 class TestBuildSmallMinor:
     def test_t2_on_any_connected_graph(self):
         g = grid_graph(4, 4)
@@ -233,6 +278,18 @@ class TestBuildSmallMinor:
         assert report.valid
         assert model.total_vertices <= 4 * d.k * 16
 
+    def test_stage_stall_carries_common_keys(self):
+        # two nice sets per clique, and balls never leave their clique, so
+        # the stage-0 hub covers 2 balls where 3 are needed
+        g = disjoint_cliques(8, 5)
+        p = minor_params(4, g.n)
+        with pytest.raises(ConstructionStalled) as err:
+            build_small_minor(g, 4, derived_scales(g.n, p), p)
+        diag = err.value.diagnostics
+        assert set(diag) == STALL_KEYS
+        assert (err.value.stage, diag["stage"], diag["covered"], diag["needed"]) == (0, 0, 2, 3)
+        assert diag["routed"] == diag["pruned_to"] == 0
+
     def test_stall_carries_diagnostics(self):
         g = cycle_graph(30)
         p = minor_params(4, 30)
@@ -261,6 +318,8 @@ class TestMinorPipeline:
         res = find_minor_pipeline(g, 3, epsilon=1.0)
         assert res.outcome == "stalled"
         assert res.model is None
+        assert set(res.diagnostics) == STALL_KEYS
+        assert "diagnostics" not in res.detail and "ball_sizes" not in res.detail
 
     def test_small_tree_hands_off_to_oracle(self):
         g = random_tree(10, seed=4)

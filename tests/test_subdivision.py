@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from minorkit import (
+    ConstructionStalled,
     ExpansionParams,
     Graph,
     Path,
@@ -23,13 +24,37 @@ from minorkit import (
     verify_subdivision,
     verify_unit,
 )
-from minorkit.subdivision import CASE_SPARSE, CASE_STARS, log2m
+from minorkit.graph import bfs_parents
+from minorkit.subdivision import (
+    CASE_SPARSE,
+    CASE_STARS,
+    DegreeSplit,
+    _ConnectState,
+    _sparse_p_step,
+    log2m,
+)
 
 from conftest import blobs, complete_graph, gnp, regular, star_graph
 
 
 def sub_params(t, n, delta=1 / 3):
     return ExpansionParams.for_subdivision(t=t, delta=delta, ambient_n=n)
+
+
+STALL_KEYS = {"stage", "covered", "routed", "pruned_to", "needed", "ball_sizes"}
+
+
+def disjoint_copies(count, size, edges):
+    """``count`` disjoint copies of a ``size``-vertex graph given by its edges."""
+    return Graph(count * size, [(b + u, b + v) for b in range(0, count * size, size)
+                                for u, v in edges])
+
+
+def assert_hub_stall(err, stage, covered, needed):
+    diag = err.value.diagnostics
+    assert set(diag) == STALL_KEYS
+    assert err.value.stage == diag["stage"] == stage
+    assert (diag["covered"], diag["needed"]) == (covered, needed)
 
 
 def planted_hub_graph(n=4096, base_degree=10, hubs=40, hub_degree=120, seed=11):
@@ -207,6 +232,17 @@ class TestDenseUnits:
         assert not (units[0].vertices() & preseed)
         assert verify_unit(g, units[0], d).valid
 
+    def test_round_stall_carries_common_keys(self):
+        # six disjoint 4-leaf stars: no ball leaves its star, so the
+        # round-1 hub covers one ball where t+1 are needed
+        g = disjoint_copies(6, 5, [(0, j) for j in range(1, 5)])
+        split = DegreeSplit(kind=CASE_STARS, threshold=4,
+                            stars=[(c, range(c + 1, c + 5)) for c in range(0, 30, 5)])
+        p = sub_params(3, g.n)
+        with pytest.raises(ConstructionStalled) as err:
+            build_units_dense(g, split, 3, derived_scales(g.n, p), p, max_units=1)
+        assert_hub_stall(err, 1, 1, 4)
+
     def test_wrong_split_kind_rejected(self):
         g = regular(64, 3, seed=1)
         split = split_by_degree(g, sigma=1 / 300)
@@ -247,6 +283,22 @@ class TestSparseUnits:
         assert len(got.edge_paths) == 1
         assert verify_subdivision(g, got).valid
 
+    def test_corner_growth_stall_carries_common_keys(self):
+        # four disjoint 8-cycles with one inward corner each: the balls never
+        # meet, so the hub covers one where two are needed
+        g = disjoint_copies(4, 8, [(j, (j + 1) % 8) for j in range(8)])
+        p = sub_params(3, g.n)
+        d = derived_scales(g.n, p)
+        centers = {i: 8 * i for i in range(4)}
+        pockets = {i: frozenset({8 * i, 8 * i + 1}) for i in range(4)}
+        balls = {i: bfs_parents(g, [v], radius=d.l) for i, v in centers.items()}
+        state = _ConnectState(indices=[0, 1, 2, 3])
+        with pytest.raises(ConstructionStalled) as err:
+            _sparse_p_step(g, set(), state, centers, pockets, balls, [0, 1, 2, 3],
+                           1, d, p, 3, 2)
+        assert_hub_stall(err, ("p", 1), 1, 2)
+        assert state.indices == [0, 1, 2, 3] and not state.paths
+
     def test_degree_violation_of_split_contract(self):
         g = complete_graph(60)
         p = sub_params(3, 60)
@@ -278,6 +330,23 @@ class TestConnectUnits:
         report = verify_subdivision(g, model)
         assert report.valid
         assert model.total_vertices <= 16 * d.k * 9
+
+    def test_step_stall_carries_common_keys(self):
+        # four disjoint spiders (a corner with three 2-edge legs, each leg
+        # ending in an edge that is the unit's set): the balls never meet, so
+        # step (1, 1) covers one unit where t are needed
+        spider = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (0, 7), (7, 8), (8, 9)]
+        g = disjoint_copies(4, 10, spider)
+        p = sub_params(3, g.n)
+        units = [
+            Unit(corner=c, spokes=[Path((c, c + a, c + a + 1)) for a in (1, 4, 7)],
+                 sets=[{c + a + 1, c + a + 2} for a in (1, 4, 7)],
+                 centers=[c + a + 1 for a in (1, 4, 7)], sigma=p.sigma)
+            for c in range(0, 40, 10)
+        ]
+        with pytest.raises(ConstructionStalled) as err:
+            connect_units(g, units, 3, derived_scales(g.n, p), p)
+        assert_hub_stall(err, (1, 1), 1, 3)
 
     def test_too_few_units_rejected(self):
         g, p, d, units = self._units(t=3, count=5)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from minorkit import GeneratorSpec, InvariantViolation, sweep
+from minorkit import GeneratorSpec, InvariantViolation, VerificationReport, cli, sweep
 from minorkit.cli import main
 from minorkit.graph import to_edge_list_text
 from minorkit.sweep import (
@@ -59,6 +59,21 @@ class TestSweep:
         assert record.outcome == "error"
         assert record.detail == "InvariantViolation: injected"
         code = main(["sweep", "--family", "gnp_avg_degree", "--ns", "64", "--param", "8", "--t", "3"])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines()[-1] == "summary: 1 error"
+
+    def test_verifier_rejection_is_recorded_as_error(self, monkeypatch, capsys):
+        def rejecting(g, model):
+            return VerificationReport(valid=False, violations=[("injected", "model")])
+
+        monkeypatch.setattr(sweep, "verify_minor_model", rejecting)
+        spec = GeneratorSpec(family="gnp_avg_degree", n=300, param=20.0, seed=5)
+        record = run_one(spec, t=3, epsilon=1.0)
+        assert record.outcome == "error"
+        assert record.verifier_valid is False
+        assert record.detail.startswith("verifier rejected the witness:")
+        code = main(["sweep", "--family", "gnp_avg_degree", "--ns", "300",
+                     "--param", "20", "--seeds", "5", "--t", "3"])
         assert code == 2
         assert capsys.readouterr().out.splitlines()[-1] == "summary: 1 error"
 
@@ -147,6 +162,26 @@ class TestCli:
         path = tmp_path / "tree.txt"
         path.write_text(to_edge_list_text(tree))
         assert main(["find-minor", "--input", str(path), "--t", "3"]) == 2
+
+    def test_stall_diagnostics_in_json(self, tmp_path):
+        path = tmp_path / "tree.txt"
+        path.write_text(to_edge_list_text(random_tree(300, seed=4)))
+        for command in ("find-minor", "find-subdivision"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, "--input", str(path), "--t", "3", "--json-out", str(out)]) == 2
+            payload = json.loads(out.read_text())
+            assert payload["outcome"] == "stalled"
+            assert payload["diagnostics"] and isinstance(payload["diagnostics"], dict)
+            assert "diagnostics" not in payload["detail"]
+
+    def test_internal_error_exit_code(self, graph_file, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise InvariantViolation("injected")
+
+        monkeypatch.setattr(cli, "find_minor_pipeline", broken)
+        assert main(["find-minor", "--input", str(graph_file), "--t", "3"]) == cli.EXIT_INTERNAL == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: injected\n"
 
     def test_verify_rejects_bad_witness(self, graph_file, tmp_path):
         witness = tmp_path / "w.json"
