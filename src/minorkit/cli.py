@@ -218,6 +218,7 @@ def _cmd_extract(args) -> int:
         "edges": result.graph.edge_count,
         "achieved_density": str(result.achieved_density),
         "input_density": str(result.input_density),
+        "search_budget_exhausted": result.search_budget_exhausted,
         "vertices": list(result.subgraph.new_to_old),
     }
     if args.trace:

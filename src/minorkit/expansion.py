@@ -35,6 +35,7 @@ from .graph import (
     InducedSubgraph,
     _gather,
     _mask,
+    bfs_layer_sizes,
     bfs_levels,
     induced_subgraph,
 )
@@ -301,6 +302,7 @@ def find_violating_set(
     p: ExpansionParams,
     small_set_mode: bool = False,
     budget_ops: Optional[int] = None,
+    report: Optional[dict] = None,
 ) -> Optional[FindDenseQuery]:
     """Look for a set whose neighborhood is smaller than the required rate.
 
@@ -310,7 +312,10 @@ def find_violating_set(
     m <= 18 (a violating set need not be connected); above that a budgeted
     heuristic sweep: BFS-layer cuts from a deterministic seed schedule plus a
     greedy low-boundary local search.  Returns None when nothing is found, in
-    which case the graph is treated as an empirical expander.
+    which case the graph is treated as an empirical expander.  When the
+    heuristic sweep runs and a ``report`` dict is given, it sets
+    ``report["budget_exhausted"]``: whether the work budget ended the sweep
+    before every seed was tried.
     """
     m = h.n
     if m == 0:
@@ -330,7 +335,10 @@ def find_violating_set(
 
     if m <= _EXHAUSTIVE_LIMIT:
         return _exhaustive_violator(h, cap, violation)
-    return _heuristic_violator(h, cap, violation, budget_ops)
+    q, exhausted = _heuristic_violator(h, cap, violation, budget_ops)
+    if report is not None:
+        report["budget_exhausted"] = exhausted
+    return q
 
 
 def _exhaustive_violator(h: Graph, cap: int, violation) -> Optional[FindDenseQuery]:
@@ -360,53 +368,51 @@ _LOCAL_SEARCH_SIZE = 96
 _LOCAL_SEARCH_OPS = 60_000
 
 
-def _heuristic_violator(h: Graph, cap: int, violation, budget_ops) -> Optional[FindDenseQuery]:
+def _heuristic_violator(h: Graph, cap: int, violation, budget_ops) -> tuple:
+    """The budgeted seed sweep; returns ``(query or None, budget_exhausted)``.
+
+    ``budget_exhausted`` is True when the budget ran out before every seed
+    was tried.  The layer sizes of all seeds come from one bit-parallel
+    batch; the loop then spends and checks seed by seed, in schedule order.
+    """
     m = h.n
     budget = budget_ops if budget_ops is not None else DEFAULT_BUDGET_OPS
     spent = 0
     degs = h.degrees()
-    order = sorted(range(m), key=lambda v: (int(degs[v]), v))
+    order = np.argsort(degs, kind="stable").tolist()  # by (degree, id)
     stride = max(1, m // 24)
-    seeds = order[:16] + order[-4:] + list(range(0, m, stride))
-    seen = set()
+    seeds = list(dict.fromkeys(order[:16] + order[-4:] + list(range(0, m, stride))))
     local_tries = 0
-    for v in seeds:
-        if v in seen:
-            continue
-        seen.add(v)
+    for v, counts in zip(seeds, bfs_layer_sizes(h, seeds)):
         if spent >= budget:
-            break
+            return None, True
         # BFS-layer cuts: the neighborhood of the radius-r ball is exactly
         # the next BFS layer, so one traversal prices every prefix cut.
-        levels = bfs_levels(h, [v])
-        spent += int(degs[v]) + 1
-        reached = np.flatnonzero(levels >= 0)
-        spent += len(reached)
-        if len(reached) < m:
+        reached = int(counts.sum())
+        spent += int(degs[v]) + 1 + reached
+        if reached < m:
             # disconnected: the component (or its complement) is its own cut
-            comp_size = len(reached)
-            for size in (comp_size, m - comp_size):
+            for size in (reached, m - reached):
                 gamma = violation(size, 0)
                 if gamma is not None:
-                    members = reached if size == comp_size else np.flatnonzero(levels < 0)
-                    return FindDenseQuery(gamma=gamma, s=frozenset(map(int, members)))
-        lv = levels[reached]
-        counts = np.bincount(lv)
+                    levels = bfs_levels(h, [v])
+                    members = np.flatnonzero(levels >= 0 if size == reached else levels < 0)
+                    return FindDenseQuery(gamma=gamma, s=frozenset(members.tolist())), False
         prefix = np.cumsum(counts)
         for r in range(len(counts) - 1):
             gamma = violation(int(prefix[r]), int(counts[r + 1]))
             if gamma is not None:
-                members = reached[lv <= r]
-                return FindDenseQuery(gamma=gamma, s=frozenset(map(int, members)))
+                members = np.flatnonzero(bfs_levels(h, [v], radius=r) >= 0)
+                return FindDenseQuery(gamma=gamma, s=frozenset(members.tolist())), False
         if local_tries < _LOCAL_SEARCH_SEEDS:
             local_tries += 1
             size_cap_local = min(cap, _LOCAL_SEARCH_SIZE)
             local_budget = min(budget - spent, _LOCAL_SEARCH_OPS)
             q = _local_search(h, v, cap, size_cap_local, violation, local_budget)
             if q is not None:
-                return q
+                return q, False
             spent += local_budget
-    return None
+    return None, False
 
 
 def _local_search(h: Graph, seed: int, cap: int, size_cap_local: int, violation, budget: int) -> Optional[FindDenseQuery]:
@@ -451,6 +457,9 @@ class ExtractionResult:
     ``subgraph.graph`` is the extracted graph; ``subgraph.new_to_old`` maps
     its ids into the input graph.  ``mode`` is one of ``plain_expander``,
     ``small_set_expander`` or ``below_threshold``.
+    ``search_budget_exhausted`` is True when the last violating-set search,
+    the one that found nothing, ran out of work budget before trying every
+    seed: the expander verdict then rests on a cut-short search.
     """
 
     subgraph: InducedSubgraph
@@ -458,6 +467,7 @@ class ExtractionResult:
     trace: list = field(default_factory=list)
     achieved_density: Fraction = Fraction(0)
     input_density: Fraction = Fraction(0)
+    search_budget_exhausted: bool = False
 
     @property
     def graph(self) -> Graph:
@@ -502,6 +512,7 @@ def extract_expander(
     floor_n = max(p.t + 1, stop_floor)
     input_density = Fraction(2 * g.edge_count, g.n)
     trace = []
+    budget_exhausted = False
 
     alive = np.ones(g.n, dtype=bool)
     deg = g.degrees().astype(np.int64)
@@ -542,8 +553,10 @@ def extract_expander(
             mode = MODE_BELOW_THRESHOLD
             break
         scales = derived_scales(sub.graph.n, p)
-        q = find_violating_set(sub.graph, scales, p, small_set_mode, budget_ops)
+        search = {"budget_exhausted": False}
+        q = find_violating_set(sub.graph, scales, p, small_set_mode, budget_ops, report=search)
         if q is None:
+            budget_exhausted = search["budget_exhausted"]
             mode = MODE_SMALL_SET if small_set_mode else MODE_PLAIN
             break
         before = Fraction(2 * e_cur, n_cur)
@@ -569,6 +582,7 @@ def extract_expander(
         trace=trace,
         achieved_density=achieved,
         input_density=input_density,
+        search_budget_exhausted=budget_exhausted,
     )
     guarantee = (1 - (2 if small_set_mode else 1) * Fraction(p.delta)) * input_density
     if achieved < guarantee:

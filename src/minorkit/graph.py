@@ -7,10 +7,15 @@ order is deterministic) with array operations only.  Graphs are immutable;
 "deleting" vertices means masking and relabeling the CSR rows into an
 induced subgraph that carries its id mapping.
 
-Vertex sets are plain ``set``/``frozenset`` objects.  Every traversal runs on
-one BFS kernel over the CSR arrays and a boolean blocked mask: layers are
-expanded whole, and a vertex's parent is the smallest-id vertex of the
-previous layer adjacent to it, so every operation here is deterministic.
+Vertex sets are plain ``set``/``frozenset`` objects.  There are two
+traversal paths over the CSR arrays, both deterministic:
+
+* one BFS kernel (``_bfs``) with a boolean blocked mask serves every
+  traversal that needs levels, members or parents: layers are expanded
+  whole, and a vertex's parent is the smallest-id vertex of the previous
+  layer adjacent to it;
+* one bit-parallel multi-source BFS (:func:`bfs_layer_sizes`) runs up to 64
+  whole-graph searches at once and reports only each search's layer sizes.
 
 Thread-safety: ``Graph`` and ``Path`` never mutate after ``__init__`` and may
 be shared freely across worker threads.
@@ -18,6 +23,7 @@ be shared freely across worker threads.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,11 +83,17 @@ class Graph:
 
     __slots__ = ("n", "edge_count", "_indptr", "_indices")
 
-    def __init__(self, n: int, edges: Iterable = ()):
+    def __init__(self, n: int, edges: Iterable = (), *, csr: Optional[tuple] = None):
+        """``csr`` takes finished ``(indptr, indices)`` arrays in place of
+        ``edges``: rows sorted, symmetric, no loops; they are not checked."""
         n = int(n)
         if not 0 <= n <= 2**31 - 1:
             raise ValueError(f"vertex count {n} outside 0..{2**31 - 1} (ids are int32)")
         self.n = n
+        if csr is not None:
+            self._indptr, self._indices = csr
+            self.edge_count = len(self._indices) // 2
+            return
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
         pairs = pairs.reshape(0, 2) if pairs.shape == (0,) else pairs
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -152,11 +164,14 @@ def _unique(a: np.ndarray, return_first: bool = False):
 
 
 class InducedSubgraph(NamedTuple):
-    """A relabeled induced subgraph plus its id mapping (both directions)."""
+    """A relabeled induced subgraph plus its id mapping.
+
+    ``new_to_old`` is a compact int32 ``array("i")``, strictly increasing:
+    entry i is the parent id of subgraph vertex i.
+    """
 
     graph: Graph
-    new_to_old: tuple
-    old_to_new: dict
+    new_to_old: array
 
 
 # -- spec operations ---------------------------------------------------------
@@ -281,6 +296,47 @@ def bfs_levels(
     if blocked[seeds].any():
         raise ValueError("seed inside avoid set")
     return _bfs(g, seeds, blocked, radius=radius, stop_size=stop_size)[0]
+
+
+def bfs_layer_sizes(g: Graph, seeds: Sequence[int]) -> list:
+    """Layer sizes of a whole-graph BFS from each seed, computed together.
+
+    Returns one ``int64`` array per seed whose entry r is the number of
+    vertices at distance r from it: ``np.bincount`` of the reached part of
+    ``bfs_levels(g, [seed])``.  Bit-parallel multi-source BFS: seeds run in
+    chunks of 64, each vertex holds a ``uint64`` with one bit per seed, and
+    one pull step ORs the frontier words of every row's neighbors, which
+    advances every seed of the chunk by one layer.  Only sizes come out; a
+    caller that needs a seed's members runs :func:`bfs_levels` for it.
+    """
+    seeds = np.fromiter(map(int, seeds), dtype=np.int64)
+    # reduceat reads an empty row as its next entry, so pull only rows with
+    # neighbors; vertices of degree 0 never gain a bit anyway
+    rows = np.flatnonzero(g.degrees())
+    starts = g._indptr[rows]
+    out = []
+    for lo in range(0, len(seeds), 64):
+        chunk = seeds[lo:lo + 64]
+        frontier = np.zeros(g.n, dtype=np.uint64)
+        bit = np.left_shift(np.uint64(1), np.arange(len(chunk), dtype=np.uint64))
+        np.bitwise_or.at(frontier, chunk, bit)  # a repeated seed gets a bit per copy
+        visited = frontier.copy()
+        sizes = [np.ones(len(chunk), dtype=np.int64)]
+        while len(rows):
+            pulled = np.bitwise_or.reduceat(frontier[g._indices], starts) & ~visited[rows]
+            hit = np.flatnonzero(pulled)
+            if not len(hit):
+                break
+            new, fresh = rows[hit], pulled[hit]
+            frontier[:] = 0
+            frontier[new] = fresh
+            visited[new] |= fresh
+            bits = np.unpackbits(fresh.astype("<u8").view(np.uint8), bitorder="little")
+            sizes.append(bits.reshape(-1, 64)[:, :len(chunk)].sum(axis=0, dtype=np.int64))
+        # a seed's sizes are non-zero up to its last layer and zero after it
+        for col in np.array(sizes).T:
+            out.append(col[:np.count_nonzero(col)])
+    return out
 
 
 def bfs_parents(
@@ -418,10 +474,10 @@ def consecutive_shortest_paths(
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> InducedSubgraph:
-    """Relabeled induced subgraph on ``s`` with its bijective id mapping.
+    """Relabeled induced subgraph on ``s`` with its id mapping.
 
-    Ids are relabeled in increasing order; each edge comes from the row of its
-    smaller end, as a kept neighbor with a larger new id.
+    Ids are relabeled in increasing order, so slicing the kept rows out of
+    the parent CSR and relabeling them leaves every row sorted.
     """
     keep = _unique(s.astype(np.int64) if isinstance(s, np.ndarray)
                    else np.fromiter(map(int, s), dtype=np.int64))
@@ -430,15 +486,16 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> InducedSubgraph:
     for v in (int(keep[0]), int(keep[-1])):
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
-    relab = np.full(g.n, -1, dtype=np.int64)
-    relab[keep] = np.arange(len(keep))
+    relab = np.full(g.n, -1, dtype=np.int32)
+    relab[keep] = np.arange(len(keep), dtype=np.int32)
     flat, counts = _gather(g, keep)
-    owner = relab[np.repeat(keep, counts)]
     new = relab[flat]
-    up = new > owner
-    sub = Graph(len(keep), np.column_stack((owner[up], new[up])))
-    new_to_old = keep.tolist()
-    return InducedSubgraph(sub, tuple(new_to_old), dict(zip(new_to_old, range(len(keep)))))
+    inside = new >= 0
+    # row i of the subgraph ends where row i of the gather ends, counting kept entries
+    kept_before = np.concatenate(([0], np.cumsum(inside)))
+    indptr = kept_before[np.concatenate(([0], np.cumsum(counts)))]
+    sub = Graph(len(keep), csr=(indptr, new[inside]))
+    return InducedSubgraph(sub, array("i", keep.astype(np.intc).tobytes()))
 
 
 # -- text formats -------------------------------------------------------------

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .bounds import minor_density_target
 from .errors import ConstructionStalled, InvariantViolation
 from .expansion import (
@@ -33,7 +35,7 @@ from .expansion import (
     extract_expander,
     size_cap,
 )
-from .graph import Graph, Path, average_degree, bfs_levels, reached_in_order
+from .graph import Graph, Path, _mask, average_degree, bfs_levels, reached_in_order
 from .routing import (
     backtrack_chain,
     entry_path,
@@ -98,15 +100,15 @@ def find_nice_sets(
     if size < 1 or count < 1:
         raise ValueError("count and size must be positive")
     m = h.n
-    used = {int(v) for v in forbidden}
+    free = ~_mask(m, forbidden)
     probe_size = max(1, math.floor(m ** 0.625))
     out = []
     while len(out) < count:
-        avail = [v for v in range(m) if v not in used]
-        if len(avail) < probe_size and not out:
+        if not out and np.count_nonzero(free) < probe_size:
             raise ValueError("graph exhausted")
+        used = np.flatnonzero(~free)
         found = None
-        for v in avail[:probe_size]:
+        for v in np.flatnonzero(free)[:probe_size].tolist():
             levels = bfs_levels(h, [v], avoid=used, radius=d.k, stop_size=size)
             reached = reached_in_order(levels)
             if len(reached) >= size:
@@ -118,7 +120,7 @@ def find_nice_sets(
         v, reached, radius = found
         kept = frozenset(reached.tolist())
         out.append(NiceSet(vertices=kept, center=v, radius_bound=radius))
-        used |= kept
+        free[reached] = False
     return out
 
 

@@ -492,8 +492,16 @@ def _one_sparse_round(h, w, x, t, d, p) -> Union[Unit, SubdivisionModel]:
         try:
             first()
             took_q = first is q_step
-        except ConstructionStalled:
-            second()
+        except ConstructionStalled as first_stall:
+            try:
+                second()
+            except ConstructionStalled as exc:
+                exc.diagnostics["first_step"] = {
+                    "stage": first_stall.stage,
+                    "detail": str(first_stall),
+                    "diagnostics": first_stall.diagnostics,
+                }
+                raise
             took_q = second is q_step
         if took_q:
             beta += 1
@@ -932,6 +940,7 @@ def find_subdivision_pipeline(
                     outcome="minor", minor_model=mm, extraction=extraction,
                     params=params, scales=scales, route="minor-fallback",
                     detail=f"unit construction stalled ({exc}); built a minor witness instead",
+                    diagnostics=exc.diagnostics,
                 )
         return SubdivisionPipelineResult(
             outcome="stalled",

@@ -33,7 +33,7 @@ SWEEP_MODES = ("minor", MODE_SUBDIVISION, MODE_MINOR_OR_SUBDIVISION)
 CSV_COLUMNS = [
     "family", "n", "param", "blob_count", "seed", "t", "epsilon", "mode",
     "delta", "eta", "sigma", "f_m", "k", "outcome", "witness_size", "log_n",
-    "ratio", "runtime_ms", "verifier_valid", "detail",
+    "ratio", "runtime_ms", "verifier_valid", "search_budget_exhausted", "detail",
 ]
 
 
@@ -54,6 +54,7 @@ class ExperimentRecord:
     sigma: Optional[float] = None
     f_m: Optional[float] = None
     k: Optional[int] = None
+    search_budget_exhausted: Optional[bool] = None  # None when no extraction ran
     detail: str = ""
     witness: Optional[dict] = field(default=None, repr=False)
 
@@ -74,6 +75,7 @@ class ExperimentRecord:
             "sigma": self.sigma,
             "f_m": self.f_m,
             "k": self.k,
+            "search_budget_exhausted": self.search_budget_exhausted,
             "detail": self.detail,
         }
         if self.witness is not None:
@@ -87,7 +89,9 @@ class ExperimentRecord:
             self.mode, self.delta, self.eta, self.sigma, self.f_m, self.k, self.outcome,
             self.witness_size, f"{self.log_n:.6f}",
             "" if self.ratio is None else f"{self.ratio:.6f}",
-            f"{self.runtime_ms:.3f}", self.verifier_valid, self.detail,
+            f"{self.runtime_ms:.3f}", self.verifier_valid,
+            "" if self.search_budget_exhausted is None else self.search_budget_exhausted,
+            self.detail,
         ]
 
 
@@ -136,6 +140,8 @@ def run_one(
     if res.scales is not None:
         record.f_m = res.scales.f_m
         record.k = res.scales.k
+    if res.extraction is not None:
+        record.search_budget_exhausted = res.extraction.search_budget_exhausted
     if model is not None:
         report = verifier(g, model)
         if report.valid:

@@ -1,9 +1,11 @@
 """Expansion rates, the density dichotomy, extraction, and ball growth."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,9 +30,15 @@ from minorkit.expansion import (
     BRANCH_DROP,
     MODE_BELOW_THRESHOLD,
     MODE_PLAIN,
+    DEFAULT_BUDGET_OPS,
+    _LOCAL_SEARCH_OPS,
+    _LOCAL_SEARCH_SEEDS,
+    _LOCAL_SEARCH_SIZE,
     DerivedScales,
+    _heuristic_violator,
     _local_search,
 )
+from minorkit.graph import bfs_levels
 
 from conftest import complete_graph, gnp, petersen_graph, two_cliques_bridge
 
@@ -230,6 +238,106 @@ class TestLocalSearch:
         assert runs[0] == runs[1]
 
 
+# the sequential seed sweep that the batched replay replaced, kept as its
+# reference; it also reports whether the budget broke off the sweep
+def heuristic_violator_reference(h, cap, violation, budget_ops):
+    m = h.n
+    budget = budget_ops if budget_ops is not None else DEFAULT_BUDGET_OPS
+    spent = 0
+    degs = h.degrees()
+    order = sorted(range(m), key=lambda v: (int(degs[v]), v))
+    stride = max(1, m // 24)
+    seeds = order[:16] + order[-4:] + list(range(0, m, stride))
+    seen = set()
+    local_tries = 0
+    for v in seeds:
+        if v in seen:
+            continue
+        seen.add(v)
+        if spent >= budget:
+            return None, True
+        levels = bfs_levels(h, [v])
+        spent += int(degs[v]) + 1
+        reached = np.flatnonzero(levels >= 0)
+        spent += len(reached)
+        if len(reached) < m:
+            comp_size = len(reached)
+            for size in (comp_size, m - comp_size):
+                gamma = violation(size, 0)
+                if gamma is not None:
+                    members = reached if size == comp_size else np.flatnonzero(levels < 0)
+                    return FindDenseQuery(gamma=gamma, s=frozenset(map(int, members))), False
+        lv = levels[reached]
+        counts = np.bincount(lv)
+        prefix = np.cumsum(counts)
+        for r in range(len(counts) - 1):
+            gamma = violation(int(prefix[r]), int(counts[r + 1]))
+            if gamma is not None:
+                members = reached[lv <= r]
+                return FindDenseQuery(gamma=gamma, s=frozenset(map(int, members))), False
+        if local_tries < _LOCAL_SEARCH_SEEDS:
+            local_tries += 1
+            size_cap_local = min(cap, _LOCAL_SEARCH_SIZE)
+            local_budget = min(budget - spent, _LOCAL_SEARCH_OPS)
+            q = _local_search(h, v, cap, size_cap_local, violation, local_budget)
+            if q is not None:
+                return q, False
+            spent += local_budget
+    return None, False
+
+
+@st.composite
+def planted_cut_graphs(draw):
+    """Random blocks joined by a few bridges: sparse cuts, often several components."""
+    sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    edges, base = [], 0
+    for size in sizes:
+        p = draw(st.floats(0.0, 1.0))
+        edges += [(u + base, v + base) for u, v in combinations(range(size), 2) if rng.random() < p]
+        base += size
+    vertex = st.integers(0, base - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=3))
+    return Graph(base, edges)
+
+
+class TestHeuristicViolator:
+    @settings(max_examples=150, deadline=None)
+    @given(planted_cut_graphs(), st.floats(0.02, 1.5), st.data())
+    def test_replay_matches_sequential_reference(self, h, rate, data):
+        m = h.n
+        cap = data.draw(st.integers(1, m))
+        budgets = [1, m, 5 * m, 20 * m, None, data.draw(st.integers(0, 700_000))]
+
+        def violation(size, nb_size):
+            return rate if size <= cap and nb_size < rate * size else None
+
+        for budget in budgets:
+            got = _heuristic_violator(h, cap, violation, budget)
+            assert got == heuristic_violator_reference(h, cap, violation, budget)
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_cut_graphs())
+    def test_budget_stops_exactly_before_the_last_seed(self, h):
+        # with nothing to find, each seed costs degree + 1 + reached count and
+        # each of the first 8 seeds' local searches takes its full share; a
+        # budget of exactly the work before the last seed stops there
+        m = h.n
+        degs = h.degrees()
+        order = sorted(range(m), key=lambda v: (int(degs[v]), v))
+        stride = max(1, m // 24)
+        seeds = list(dict.fromkeys(order[:16] + order[-4:] + list(range(0, m, stride))))
+        if len(seeds) < 2:
+            return
+        work = sum(int(degs[v]) + 1 + int(np.count_nonzero(bfs_levels(h, [v]) >= 0))
+                   for v in seeds[:-1])
+        budget = work + _LOCAL_SEARCH_OPS * min(_LOCAL_SEARCH_SEEDS, len(seeds) - 1)
+        never = lambda size, nb_size: None  # noqa: E731
+        for b, expected in ((budget, (None, True)), (budget + 1, (None, False))):
+            assert _heuristic_violator(h, m, never, b) == expected
+            assert heuristic_violator_reference(h, m, never, b) == expected
+
+
 class TestFindViolatingSet:
     def test_complete_graph_has_none_at_pipeline_rates(self):
         # with the built-in rate any violator would need an empty neighborhood
@@ -309,6 +417,14 @@ class TestExtractExpander:
         # the union of equal dense blobs resolves to (roughly) one blob
         assert res.graph.n <= 60
         assert res.achieved_density >= (1 - Fraction(1, 5)) * res.input_density
+
+    def test_search_budget_exhausted_flag(self):
+        g = gnp(300, 20, seed=3)
+        p = params(delta=0.1, eta=1 / 8, n=300)
+        cut_short = extract_expander(g, p, budget_ops=1)
+        assert (cut_short.mode, cut_short.search_budget_exhausted) == (MODE_PLAIN, True)
+        full = extract_expander(g, p)
+        assert (full.mode, full.search_budget_exhausted) == (MODE_PLAIN, False)
 
     def test_below_threshold_mode(self):
         g = complete_graph(6)

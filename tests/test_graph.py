@@ -20,7 +20,14 @@ from minorkit import (
     parse_graph_text,
     set_radius_center,
 )
-from minorkit.graph import bfs_levels, bfs_parents, first_exit, to_edge_list_text, trace_path
+from minorkit.graph import (
+    bfs_layer_sizes,
+    bfs_levels,
+    bfs_parents,
+    first_exit,
+    to_edge_list_text,
+    trace_path,
+)
 
 from conftest import complete_graph, cycle_graph, grid_graph, path_graph, petersen_graph, random_tree, star_graph
 
@@ -303,7 +310,7 @@ class TestInducedSubgraph:
         g = petersen_graph()
         sub = induced_subgraph(g, range(10))
         assert sub.graph.edge_count == g.edge_count
-        assert sub.new_to_old == tuple(range(10))
+        assert list(sub.new_to_old) == list(range(10))
 
     def test_k5_minus_vertex_is_k4(self):
         sub = induced_subgraph(complete_graph(5), {0, 2, 3, 4})
@@ -325,8 +332,7 @@ class TestInducedSubgraph:
             (sub.new_to_old[u], sub.new_to_old[v]) for u, v in sub.graph.edges()
         }
         assert got == expect
-        assert sorted(sub.old_to_new.values()) == list(range(len(s)))
-
+        assert_relabel_map(sub, {v: i for i, v in enumerate(sorted(s))})
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 40), st.floats(0.5, 8.0), st.integers(0, 10**6), st.data())
@@ -337,8 +343,36 @@ class TestInducedSubgraph:
         for members in (s, sorted(s), np.array(sorted(s), dtype=np.int64)):
             sub = induced_subgraph(g, members)
             assert_csr_equal(sub.graph, indptr, indices)
-            assert sub.new_to_old == new_to_old
-            assert sub.old_to_new == old_to_new
+            assert list(sub.new_to_old) == list(new_to_old)
+            assert_relabel_map(sub, old_to_new)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 30), st.floats(0.5, 6.0), st.integers(0, 10**6), st.data())
+    def test_matches_loop_reference_with_lonely_ends(self, n, avg_degree, seed, data):
+        # vertices 0 and n + 1 are kept, but their only neighbors (if any) are
+        # not, so the first and last kept rows of the slice are empty
+        core = random_graph(n, avg_degree, seed)
+        inner = st.integers(1, n)
+        hooks = [data.draw(st.none() | inner) for _ in range(2)]
+        edges = [(u + 1, v + 1) for u, v in core.edges()]
+        edges += [(end, hook) for end, hook in zip((0, n + 1), hooks) if hook is not None]
+        g = Graph(n + 2, edges)
+        s = data.draw(st.sets(inner)) - set(hooks) | {0, n + 1}
+        (indptr, indices), new_to_old, old_to_new = induced_reference(g, s)
+        sub = induced_subgraph(g, s)
+        assert_csr_equal(sub.graph, indptr, indices)
+        assert sub.graph.degree(0) == sub.graph.degree(len(s) - 1) == 0
+        assert list(sub.new_to_old) == list(new_to_old)
+        assert_relabel_map(sub, old_to_new)
+
+
+def assert_relabel_map(sub, old_to_new):
+    # a compact int32 map, strictly increasing, that undoes the relabelling
+    ids = list(sub.new_to_old)
+    assert sub.new_to_old.typecode == "i" and sub.new_to_old.itemsize == 4
+    assert all(a < b for a, b in zip(ids, ids[1:]))
+    assert len(ids) == len(old_to_new)
+    assert all(sub.new_to_old[new] == old for old, new in old_to_new.items())
 
 
 # the per-vertex loop that mask-and-relabel replaced, kept as its reference
@@ -468,6 +502,22 @@ class TestBfsKernel:
                 expected = (int(levels[u]), u, min(hits))
                 break
         assert first_exit(g, levels, targets, max_level) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 90), st.floats(0.0, 4.0), st.integers(0, 10**6),
+           st.sampled_from([1, 45, 64, 65]), st.data())
+    def test_layer_sizes_match_single_source_bfs(self, n, avg_degree, seed, count, data):
+        # sparse draws are disconnected with isolated vertices (no edges at all
+        # at average degree 0); half the time one more isolated vertex comes last
+        g = random_graph(n, avg_degree, seed)
+        if data.draw(st.booleans()):
+            g = Graph(n + 1, list(g.edges()))
+        seeds = data.draw(st.lists(st.integers(0, g.n - 1), min_size=count, max_size=count))
+        sizes = bfs_layer_sizes(g, seeds)
+        assert len(sizes) == count
+        for v, got in zip(seeds, sizes):
+            levels = bfs_levels(g, [v])
+            assert got.tolist() == np.bincount(levels[levels >= 0]).tolist()
 
     def test_seed_inside_avoid_errors(self):
         with pytest.raises(ValueError, match="avoid"):

@@ -395,6 +395,25 @@ class TestSubdivisionPipeline:
         res = find_subdivision_pipeline(g, 3, epsilon=1.0, mode="minor_or_subdivision", max_units=3)
         assert (res.outcome, res.route) == ("minor", "minor-fallback")
         assert verify_minor_model(g, res.minor_model).valid
+        assert res.diagnostics == {"units": 3, "needed": 4}
+
+    def test_fallback_keeps_the_unit_stall_diagnostics(self):
+        g = blobs(600, 0.6, 3, seed=7)
+        res = find_subdivision_pipeline(g, 3, epsilon=1.0, mode="minor_or_subdivision")
+        assert (res.outcome, res.route) == ("minor", "minor-fallback")
+        assert "harvested 1 corner pockets" in res.detail
+        assert res.diagnostics["pockets"] == 1 and "forbidden" in res.diagnostics
+
+    def test_both_sparse_steps_stalling_report_both(self):
+        from conftest import random_tree
+
+        res = find_subdivision_pipeline(random_tree(300, seed=4), 3, epsilon=1.0)
+        assert (res.outcome, res.route) == ("stalled", "sparse")
+        assert res.detail == "no exits available for a corner-to-boundary step"
+        first = res.diagnostics.pop("first_step")
+        assert res.diagnostics == {"survivors": 13}
+        assert first["stage"] == ("p", 2) and "hub covers 1 balls" in first["detail"]
+        assert set(first["diagnostics"]) == STALL_KEYS
 
     def test_too_few_units_stalls_in_plain_mode(self):
         g = gnp(1000, 400, seed=1)

@@ -98,6 +98,17 @@ class TestSweep:
         assert len(data) == 2
         assert data[0]["spec"]["seed"] == 0
 
+    def test_search_budget_exhausted_in_records(self, tmp_path):
+        spec = GeneratorSpec(family="gnp_avg_degree", n=300, param=20.0, seed=5)
+        records = [run_one(spec, t=3, epsilon=1.0, budget_ops=budget) for budget in (1, None)]
+        assert [r.search_budget_exhausted for r in records] == [True, False]
+        write_records_csv(records, tmp_path / "out.csv")
+        write_records_json(records, tmp_path / "out.json")
+        rows = list(csv.DictReader((tmp_path / "out.csv").open(newline="")))
+        assert [row["search_budget_exhausted"] for row in rows] == ["True", "False"]
+        data = json.loads((tmp_path / "out.json").read_text())
+        assert [d["search_budget_exhausted"] for d in data] == [True, False]
+
     def test_subdivision_mode(self):
         spec = GeneratorSpec(family="gnp_avg_degree", n=1024, param=60.0, seed=0)
         record = run_one(spec, t=3, epsilon=1.0, mode="subdivision")
