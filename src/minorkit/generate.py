@@ -18,6 +18,10 @@ from .graph import Graph, _bfs, _gather, load_graph
 
 FAMILIES = ("gnp_avg_degree", "random_regular", "dense_blobs", "grid_torus", "file")
 
+# failed pairings after which random_regular gives up; near-complete degrees
+# (n=60, d=57) otherwise retry without end
+MAX_PAIRING_ATTEMPTS = 1000
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -173,10 +177,13 @@ def _random_regular(n: int, d: int, seed: int) -> Graph:
             stubs = [v for v, k in sorted(potential.items()) for _ in range(k)]
         return edges
 
-    edges = try_once()
-    while edges is None:
+    for _ in range(MAX_PAIRING_ATTEMPTS):
         edges = try_once()
-    return Graph(n, edges)
+        if edges is not None:
+            return Graph(n, edges)
+    raise ValueError(
+        f"no simple {d}-regular pairing on {n} vertices in {MAX_PAIRING_ATTEMPTS} attempts"
+    )
 
 
 def _dense_blobs(n: int, density: float, blob_count: int, seed: int) -> Graph:

@@ -245,13 +245,13 @@ def _layer_step(g: Graph, frontier: np.ndarray, levels: np.ndarray, blocked: np.
 
 
 def _bfs(g: Graph, seeds: Iterable[int], blocked: np.ndarray, radius: Optional[int] = None,
-         stop_size: Optional[int] = None, target: Optional[int] = None,
-         parents: bool = False) -> tuple:
+         stop_size: Optional[int] = None, target=None, parents: bool = False) -> tuple:
     """Layered BFS from ``seeds`` through unblocked vertices: the one BFS loop.
 
     Seeds are visited even when blocked.  Growth stops after ``radius``
-    layers, once ``stop_size`` vertices are visited or once ``target`` is
-    visited, always between whole layers.  Returns ``(levels, parents)``:
+    layers, once ``stop_size`` vertices are visited or once ``target`` (a
+    vertex, or an array of vertices of which any one will do) is visited,
+    always between whole layers.  Returns ``(levels, parents)``:
     ``int32`` levels with -1 for unvisited vertices, and with ``parents`` an
     array holding each visited vertex's smallest-id neighbor one layer down
     (-1 for seeds and unvisited vertices), else None.
@@ -267,7 +267,7 @@ def _bfs(g: Graph, seeds: Iterable[int], blocked: np.ndarray, radius: Optional[i
             break
         if stop_size is not None and size >= stop_size:
             break
-        if target is not None and levels[target] >= 0:
+        if target is not None and (levels[target] >= 0).any():
             break
         frontier, src = _layer_step(g, frontier, levels, blocked, parents)
         r += 1
@@ -344,7 +344,7 @@ def bfs_parents(
     seeds: Iterable[int],
     avoid: Iterable[int] = (),
     radius: Optional[int] = None,
-    target: Optional[int] = None,
+    target=None,
     allowed: Optional[set] = None,
     stop_size: Optional[int] = None,
 ) -> tuple:
@@ -352,7 +352,8 @@ def bfs_parents(
 
     Each vertex's parent is the smallest-id vertex of the previous layer
     adjacent to it.  If ``target`` is given the search stops once it is
-    reached (after finishing the layer); ``stop_size`` stops growth once that
+    reached, or for an array of vertices once any of them is (after
+    finishing the layer); ``stop_size`` stops growth once that
     many vertices are visited (layers are never truncated mid-way).
     ``allowed``, when given, restricts the walk to that vertex set (seeds
     included implicitly).  Returns ``(levels, parents)`` arrays: ``int32``
@@ -401,8 +402,44 @@ def first_exit(g: Graph, levels: np.ndarray, targets: Iterable[int],
     if not ok.any():
         return None
     lv, u, w = lv[ok], flat[ok], np.repeat(targets, counts)[ok]
-    best = np.lexsort((w, u, lv))[0]
-    return int(lv[best]), int(u[best]), int(w[best])
+    level = lv.min()
+    best = u[lv == level].min()
+    return int(level), int(best), int(w[u == best].min())
+
+
+def exit_map(g: Graph, targets: Iterable[int]) -> np.ndarray:
+    """Each vertex's smallest-id neighbor in ``targets``, -1 where it has none.
+
+    One gather of the targets' rows.  Many BFS trees that look for exits into
+    the same targets share one map and read it with :func:`first_exit_on_map`.
+    """
+    targets = _unique(np.fromiter(map(int, targets), dtype=np.int64))
+    out = np.full(g.n, g.n, dtype=np.int32)
+    flat, counts = _gather(g, targets)
+    np.minimum.at(out, flat, np.repeat(targets.astype(np.int32), counts))
+    out[out == g.n] = -1
+    return out
+
+
+def first_exit_on_map(levels: np.ndarray, exits: np.ndarray,
+                      max_level: Optional[int] = None) -> Optional[tuple]:
+    """:func:`first_exit` read off ``exits = exit_map(g, targets)``: the same
+    ``(level, u, w)`` or None, by one pass over the levels."""
+    ok = (levels >= 0) & (exits >= 0)
+    if max_level is not None:
+        ok &= levels <= max_level
+    reached = np.flatnonzero(ok)
+    if not len(reached):
+        return None
+    u = int(reached[np.argmin(levels[reached])])  # the first minimum has the smallest id
+    return int(levels[u]), u, int(exits[u])
+
+
+def neighbor_counts(g: Graph, vertices: Iterable[int]) -> np.ndarray:
+    """For each vertex, how many of its neighbors lie in ``vertices`` (distinct
+    ids): one gather of their rows and a ``bincount``."""
+    flat, _ = _gather(g, np.fromiter(map(int, vertices), dtype=np.int64))
+    return np.bincount(flat, minlength=g.n)
 
 
 def eccentricity_within(g: Graph, members: Iterable[int], v: int) -> Optional[int]:

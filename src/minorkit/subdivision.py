@@ -43,7 +43,10 @@ from .graph import (
     average_degree,
     bfs_levels,
     bfs_parents,
+    exit_map,
     first_exit,
+    first_exit_on_map,
+    neighbor_counts,
     reached_in_order,
     trace_path,
 )
@@ -113,32 +116,20 @@ def split_by_degree(h: Graph, sigma: float, min_stars: Optional[int] = None) -> 
         raise ValueError("empty graph")
     thr = log2m(m)
     target = max(1, math.floor(m ** (6.0 * sigma)), min_stars or 1)
-    removed = set()
-    deg = {v: h.degree(v) for v in range(m)}
+    removed = np.zeros(m, dtype=bool)
+    deg = h.degrees().astype(np.int64)  # residual degree; -1 once removed
     stars = []
     while len(stars) < target:
-        candidate = None
-        for v in range(m):
-            if v in removed:
-                continue
-            if deg[v] >= thr and (candidate is None or deg[v] > deg[candidate]):
-                candidate = v
-        if candidate is None:
-            return DegreeSplit(
-                kind=CASE_SPARSE,
-                x=frozenset().union(*[{c} | s for c, s in stars]) if stars else frozenset(),
-                stars=tuple(stars),
-                threshold=thr,
-            )
-        members = [int(w) for w in h.neighbors(candidate) if int(w) not in removed][:thr]
-        star = frozenset(members) | {candidate}
-        stars.append((candidate, frozenset(members)))
-        removed |= star
-        for u in star:
-            for w in h.neighbors(u):
-                w = int(w)
-                if w in deg and w not in removed:
-                    deg[w] -= 1
+        candidate = int(np.argmax(deg))  # the first maximum has the smallest id
+        if deg[candidate] < thr:
+            return DegreeSplit(kind=CASE_SPARSE, x=frozenset(np.flatnonzero(removed).tolist()),
+                               stars=tuple(stars), threshold=thr)
+        row = h.neighbors(candidate)
+        members = row[~removed[row]][:thr]
+        stars.append((candidate, frozenset(members.tolist())))
+        star = np.append(members, candidate)
+        removed[star] = True
+        deg = np.where(removed, -1, deg - neighbor_counts(h, star))
     return DegreeSplit(kind=CASE_STARS, stars=tuple(stars), threshold=thr)
 
 
@@ -390,18 +381,7 @@ def build_units_sparse(
     m = h.n
     x = {int(v) for v in x}
     thr = log2m(m)
-    rest_max = 0
-    if len(x) < m:
-        degs = h.degrees().astype(np.int64).copy()
-        for v in x:
-            degs[v] = 0
-        for v in x:
-            for w in h.neighbors(v):
-                w = int(w)
-                if w not in x:
-                    degs[w] -= 1
-        rest = [int(degs[v]) for v in range(m) if v not in x]
-        rest_max = max(rest) if rest else 0
+    rest_max = _rest_max_degree(h, x)
     if rest_max > thr:
         raise ValueError(f"max degree {rest_max} of h - x exceeds the threshold {thr}")
     floor = degree_floor if degree_floor is not None else default_degree_floor(t)
@@ -427,14 +407,25 @@ def build_units_sparse(
     return units
 
 
+def _rest_max_degree(h, x) -> int:
+    """Largest degree in ``h - x`` (0 when nothing is left)."""
+    rest = np.ones(h.n, dtype=bool)
+    rest[list(x)] = False
+    if not rest.any():
+        return 0
+    return int((h.degrees() - neighbor_counts(h, x))[rest].max())
+
+
 def _harvest_corners(h, w, t, d, p):
     """Disjoint corner pockets: spaced centers with a trimmed residual ball each."""
     m = h.n
     thr = log2m(m)
     set_size = unit_set_size(m, p.sigma)
     want = max(math.floor(m ** 0.25), 4 * max(t + 1, t * (t - 1) // 2))
-    degs = h.degrees()
-    order = sorted((v for v in range(m) if v not in w), key=lambda v: (-int(degs[v]), v))
+    free = np.ones(m, dtype=bool)
+    free[list(w)] = False
+    order = np.flatnonzero(free)
+    order = order[np.argsort(-h.degrees()[order], kind="stable")].tolist()  # by (-degree, id)
     used = set(w)
     pockets = {}
     centers = {}
@@ -480,7 +471,7 @@ def _one_sparse_round(h, w, x, t, d, p) -> Union[Unit, SubdivisionModel]:
 
         def q_step():
             need = need_subdiv if beta + 1 == t else 2
-            _sparse_q_step(h, w, x, state, centers, exits, balls, beta + 1, d, need)
+            _sparse_q_step(h, w, state, centers, exits, balls, beta + 1, d, need)
 
         def p_step():
             need = need_units if alpha + 1 == t else 2
@@ -516,7 +507,7 @@ def _one_sparse_round(h, w, x, t, d, p) -> Union[Unit, SubdivisionModel]:
 def _probe_corner_balls(h, w, x, state, centers, d):
     """Residual corner balls plus the first exit (if any) into x minus B."""
     size_budget = 2 * log2m(h.n) + 32
-    exit_targets = set(x) - set(state.bhubs)
+    exits_into = exit_map(h, set(x) - set(state.bhubs))
     # corner balls stay clear of every other live corner so that
     # boundary paths of different indices can never cross
     base_avoid = state.used(w) | {centers[j] for j in state.indices}
@@ -527,11 +518,11 @@ def _probe_corner_balls(h, w, x, state, centers, d):
         levels, parents = bfs_parents(h, [v], avoid=base_avoid - {v}, radius=d.l,
                                       stop_size=size_budget)
         balls[i] = (levels, parents)
-        exits[i] = first_exit(h, levels, exit_targets, max_level=d.l - 1)
+        exits[i] = first_exit_on_map(levels, exits_into, max_level=d.l - 1)
     return exits, balls
 
 
-def _sparse_q_step(h, w, x, state, centers, exits, balls, beta, d, need):
+def _sparse_q_step(h, w, state, centers, exits, balls, beta, d, need):
     counts = {}
     for i in state.indices:
         ex = exits.get(i)
@@ -547,7 +538,7 @@ def _sparse_q_step(h, w, x, state, centers, exits, balls, beta, d, need):
     taken = set()
     new_paths = {}
     for i in state.indices:
-        path = _route_exit(h, w, x, state, centers, balls, i, b, taken, d)
+        path = _route_exit(h, w, state, centers, exits, balls, i, b, taken, d)
         if path is None:
             continue
         new_paths[(beta, i)] = path
@@ -563,20 +554,29 @@ def _sparse_q_step(h, w, x, state, centers, exits, balls, beta, d, need):
     state.drop_to(i for _beta, i in new_paths)
 
 
-def _route_exit(h, w, x, state, centers, balls, i, b, taken, d):
-    v = centers[i]
+def _route_exit(h, w, state, centers, exits, balls, i, b, taken, d):
+    # the probe's exit still stands if it leads to b and its ball meets no
+    # path taken this step (bhubs, and so the exit targets, are unchanged)
     levels, parents = balls[i]
-    ex = None
-    if not any(levels[u] >= 0 for u in taken):
-        first = first_exit(h, levels, set(x) - set(state.bhubs), max_level=d.l - 1)
-        if first is not None and first[2] == b:
-            ex = first
-    if ex is None:
-        avoid = state.used(w) | taken | {centers[j] for j in state.indices}
-        avoid.discard(v)
-        # an exit lies within radius l - 1, so the last layer is never needed
-        levels, parents = bfs_parents(h, [v], avoid=avoid, radius=d.l - 1)
-        ex = first_exit(h, levels, [b])
+    ex = exits[i]
+    if ex is not None and ex[2] == b and not any(levels[u] >= 0 for u in taken):
+        return Path(tuple(trace_path(parents, ex[1])) + (b,))
+    v = centers[i]
+    avoid = state.used(w) | taken | {centers[j] for j in state.indices}
+    avoid.discard(v)
+    # an exit lies within radius l - 1, so the last layer is never needed
+    return _path_to_neighbor(h, v, avoid, b, d.l - 1)
+
+
+def _path_to_neighbor(h, v, avoid, b, radius):
+    """Path from ``v`` through ``h - avoid`` to the neighbor of ``b`` of
+    smallest (level, id) within ``radius``, then on to ``b``; None if none.
+
+    Once a layer reaches a neighbor of ``b``, later layers change neither
+    that neighbor nor its parent chain, so the BFS stops after that layer.
+    """
+    levels, parents = bfs_parents(h, [v], avoid=avoid, radius=radius, target=h.neighbors(b))
+    ex = first_exit(h, levels, [b])
     if ex is None:
         return None
     return Path(tuple(trace_path(parents, ex[1])) + (b,))

@@ -144,3 +144,22 @@ def test_ball_growth_and_routing_are_traced(tracer_module, spec, route):
     summary = tracer.summary()
     for layer in ("routing.grow_balls", "routing.paths"):
         assert summary.get(layer, {}).get("calls", 0) > 0, f"no {layer} span"
+
+
+def test_sparse_direct_route_is_traced(tracer_module):
+    # the sparse route's split, unit build and corner-ball BFS must stay
+    # reachable under the names the benchmark wraps, or its per-layer
+    # figures for this route read zero
+    golden = load_file("golden_specs", GOLDEN_PATH)
+    spec = ("subdivision", 3, "gnp_avg_degree", 240, 60.0, 1, 9)
+    assert spec in golden.SPECS
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        fingerprint = golden.fingerprint(spec)
+    finally:
+        tracer.uninstall()
+    assert (fingerprint["outcome"], fingerprint["route"]) == ("subdivision", "sparse-direct")
+    summary = tracer.summary()
+    for layer in ("subdivision.split", "subdivision.units_sparse", "graph.bfs_parents"):
+        assert summary.get(layer, {}).get("calls", 0) > 0, f"no {layer} span"

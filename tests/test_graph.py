@@ -24,7 +24,10 @@ from minorkit.graph import (
     bfs_layer_sizes,
     bfs_levels,
     bfs_parents,
+    exit_map,
     first_exit,
+    first_exit_on_map,
+    neighbor_counts,
     to_edge_list_text,
     trace_path,
 )
@@ -429,16 +432,18 @@ def test_bfs_levels_stop_size_completes_layer():
 
 
 # the loop BFS that the CSR kernel replaced, kept as its reference: layers in
-# ascending id order, and the first (smallest-id) parent found wins
+# ascending id order, and the first (smallest-id) parent found wins; a target
+# set stops the walk once any of its vertices is reached
 def bfs_parents_reference(g, seeds, avoid=(), radius=None, target=None, allowed=None, stop_size=None):
     levels = {v: 0 for v in sorted(set(seeds))}
     parents = {v: -1 for v in levels}
     frontier = sorted(levels)
+    stop_at = {target} if isinstance(target, int) else set(target or ())
     r = 0
     while frontier:
         if radius is not None and r >= radius:
             break
-        if target is not None and target in levels:
+        if stop_at & set(levels):
             break
         if stop_size is not None and len(levels) >= stop_size:
             break
@@ -453,6 +458,25 @@ def bfs_parents_reference(g, seeds, avoid=(), radius=None, target=None, allowed=
         frontier = sorted(nxt)
         r += 1
     return levels, parents
+
+
+# first_exit as it was before its three min-reductions: one lexsort of the
+# (level, u, w) triples over the targets' rows
+def first_exit_lexsort_reference(g, levels, targets, max_level=None):
+    targets = np.array(sorted(targets), dtype=np.int64)
+    if not len(targets):
+        return None
+    rows = [g.neighbors(w) for w in targets]
+    flat = np.concatenate(rows)
+    lv = levels[flat]
+    ok = lv >= 0
+    if max_level is not None:
+        ok &= lv <= max_level
+    if not ok.any():
+        return None
+    lv, u, w = lv[ok], flat[ok], np.repeat(targets, [len(r) for r in rows])[ok]
+    best = np.lexsort((w, u, lv))[0]
+    return int(lv[best]), int(u[best]), int(w[best])
 
 
 def random_graph(n, avg_degree, seed):
@@ -472,10 +496,11 @@ class TestBfsKernel:
         avoid = data.draw(st.sets(vertex, max_size=n // 3)) - seeds
         allowed = data.draw(st.none() | st.sets(vertex))
         radius = data.draw(st.none() | st.integers(0, 6))
-        target = data.draw(st.none() | vertex)
+        target = data.draw(st.none() | vertex | st.lists(vertex, max_size=4))
         stop_size = data.draw(st.none() | st.integers(1, n))
-        levels, parents = bfs_parents(g, seeds, avoid=avoid, radius=radius, target=target,
-                                      allowed=allowed, stop_size=stop_size)
+        levels, parents = bfs_parents(
+            g, seeds, avoid=avoid, radius=radius, allowed=allowed, stop_size=stop_size,
+            target=np.array(target, dtype=np.int32) if isinstance(target, list) else target)
         ref_levels, ref_parents = bfs_parents_reference(
             g, seeds, avoid=avoid, radius=radius, target=target, allowed=allowed, stop_size=stop_size)
         assert {v: int(levels[v]) for v in np.flatnonzero(levels >= 0)} == ref_levels
@@ -502,6 +527,34 @@ class TestBfsKernel:
                 expected = (int(levels[u]), u, min(hits))
                 break
         assert first_exit(g, levels, targets, max_level) == expected
+        assert first_exit_lexsort_reference(g, levels, targets, max_level) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 40), st.floats(0.5, 10.0), st.integers(0, 10**6), st.data())
+    def test_exit_map_matches_first_exit(self, n, avg_degree, seed, data):
+        # targets may lie inside the ball, as they do not in the sparse route,
+        # and dense draws give many exits on one level
+        g = random_graph(n, avg_degree, seed)
+        vertex = st.integers(0, n - 1)
+        targets = data.draw(st.sets(vertex))
+        avoid = data.draw(st.sets(vertex, max_size=n // 2))
+        source = data.draw(vertex.filter(lambda v: v not in avoid))
+        max_level = data.draw(st.none() | st.integers(0, 4))
+        levels, _ = bfs_parents(g, [source], avoid=avoid)
+        exits = exit_map(g, targets)
+        assert exits.tolist() == [
+            min((int(w) for w in g.neighbors(v) if int(w) in targets), default=-1) for v in range(n)]
+        assert (first_exit_on_map(levels, exits, max_level)
+                == first_exit(g, levels, targets, max_level)
+                == first_exit_lexsort_reference(g, levels, targets, max_level))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.floats(0.0, 8.0), st.integers(0, 10**6), st.data())
+    def test_neighbor_counts_match_loop(self, n, avg_degree, seed, data):
+        g = random_graph(n, avg_degree, seed)
+        vertices = data.draw(st.sets(st.integers(0, n - 1)))
+        assert neighbor_counts(g, vertices).tolist() == [
+            sum(int(w) in vertices for w in g.neighbors(v)) for v in range(n)]
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 90), st.floats(0.0, 4.0), st.integers(0, 10**6),

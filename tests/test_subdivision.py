@@ -2,9 +2,13 @@
 
 import math
 import random
+import re
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minorkit import (
     ConstructionStalled,
@@ -24,12 +28,14 @@ from minorkit import (
     verify_subdivision,
     verify_unit,
 )
-from minorkit.graph import bfs_parents
+from minorkit.graph import bfs_parents, first_exit, trace_path
 from minorkit.subdivision import (
     CASE_SPARSE,
     CASE_STARS,
     DegreeSplit,
     _ConnectState,
+    _path_to_neighbor,
+    _rest_max_degree,
     _sparse_p_step,
     log2m,
 )
@@ -91,7 +97,77 @@ def funnel_graph(t=3, blob_size=90, blob_degree=6, blob_count=6, seed=13):
     return Graph(n, edges)
 
 
+def hub_graph(n, avg_degree, hubs, seed):
+    """G(n, p) plus ``hubs`` vertices joined to random sets of about the star
+    threshold or more, so that the split takes a few stars."""
+    rng = random.Random(seed)
+    p = min(1.0, avg_degree / max(n - 1, 1))
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    thr = log2m(n)
+    for c in rng.sample(range(n), min(hubs, n)):
+        for v in rng.sample(range(n), rng.randint(max(0, min(thr - 2, n - 1)), n - 1)):
+            if v != c:
+                edges.add((min(c, v), max(c, v)))
+    return Graph(n, sorted(edges))
+
+
+# the greedy star extraction before it went to arrays, kept as its reference:
+# a Python scan for the first vertex of largest residual degree, then one
+# decrement per edge from the star to a live vertex
+def split_by_degree_reference(h, sigma, min_stars=None):
+    m = h.n
+    thr = log2m(m)
+    target = max(1, math.floor(m ** (6.0 * sigma)), min_stars or 1)
+    removed = set()
+    deg = {v: h.degree(v) for v in range(m)}
+    stars = []
+    while len(stars) < target:
+        candidate = None
+        for v in range(m):
+            if v in removed:
+                continue
+            if deg[v] >= thr and (candidate is None or deg[v] > deg[candidate]):
+                candidate = v
+        if candidate is None:
+            return DegreeSplit(
+                kind=CASE_SPARSE,
+                x=frozenset().union(*[{c} | s for c, s in stars]) if stars else frozenset(),
+                stars=tuple(stars),
+                threshold=thr,
+            )
+        members = [int(w) for w in h.neighbors(candidate) if int(w) not in removed][:thr]
+        star = frozenset(members) | {candidate}
+        stars.append((candidate, frozenset(members)))
+        removed |= star
+        for u in star:
+            for w in h.neighbors(u):
+                w = int(w)
+                if w in deg and w not in removed:
+                    deg[w] -= 1
+    return DegreeSplit(kind=CASE_STARS, stars=tuple(stars), threshold=thr)
+
+
+# the rest-degree check of build_units_sparse before it went to arrays
+def rest_max_degree_reference(h, x):
+    degs = h.degrees().astype(np.int64).copy()
+    for v in x:
+        degs[v] = 0
+    for v in x:
+        for w in h.neighbors(v):
+            if int(w) not in x:
+                degs[int(w)] -= 1
+    rest = [int(degs[v]) for v in range(h.n) if v not in x]
+    return max(rest) if rest else 0
+
+
 class TestSplitByDegree:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(12, 90), st.floats(0.0, 12.0), st.integers(0, 8), st.integers(0, 10**6),
+           st.sampled_from([1 / 300, 1 / 30, 0.1]), st.none() | st.integers(1, 12))
+    def test_matches_loop_reference(self, n, avg_degree, hubs, seed, sigma, min_stars):
+        g = hub_graph(n, avg_degree, hubs, seed)
+        assert split_by_degree(g, sigma, min_stars) == split_by_degree_reference(g, sigma, min_stars)
+
     def test_low_degree_graph_is_sparse_with_empty_x(self):
         g = regular(64, 3, seed=1)
         split = split_by_degree(g, sigma=1 / 300)
@@ -249,6 +325,48 @@ class TestDenseUnits:
         p = sub_params(2, 64)
         with pytest.raises(ValueError):
             build_units_dense(g, split, 2, derived_scales(64, p), p)
+
+
+class TestSparseRouteArrays:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 90), st.floats(0.0, 20.0), st.integers(0, 10**6), st.data())
+    def test_rest_degree_matches_loop_reference(self, n, avg_degree, seed, data):
+        g = hub_graph(n, avg_degree, 2, seed)
+        x = data.draw(st.sets(st.integers(0, n - 1)))
+        assert _rest_max_degree(g, x) == rest_max_degree_reference(g, x)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_over_threshold_message_unchanged(self, seed):
+        g = hub_graph(60, 30.0, 6, seed)
+        x = set(random.Random(seed).sample(range(60), 5))
+        rest = rest_max_degree_reference(g, x)
+        thr = log2m(60)
+        assert rest > thr
+        p = sub_params(3, 60)
+        message = f"max degree {rest} of h - x exceeds the threshold {thr}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_units_sparse(g, x, 3, derived_scales(60, p), p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 40), st.floats(0.5, 10.0), st.integers(0, 10**6), st.data())
+    def test_stopped_reroute_matches_full_radius(self, n, avg_degree, seed, data):
+        # the re-route stops at the first layer that reaches a neighbor of b;
+        # the reference runs every layer and then takes the earliest exit
+        g = hub_graph(n, avg_degree, 0, seed)
+        vertex = st.integers(0, n - 1)
+        v = data.draw(vertex)
+        near = [int(w) for w in g.neighbors(v)]
+        # half the draws make the seed itself a neighbor of b
+        b = data.draw(st.sampled_from(near) if near and data.draw(st.booleans())
+                      else vertex.filter(lambda u: u != v))
+        avoid = data.draw(st.sets(vertex, max_size=n // 2)) - {v}
+        if data.draw(st.booleans()):
+            avoid |= {b}  # as on the sparse route, where b lies in x
+        radius = data.draw(st.integers(0, 5))
+        levels, parents = bfs_parents(g, [v], avoid=avoid, radius=radius)
+        ex = first_exit(g, levels, [b])
+        expected = None if ex is None else Path(tuple(trace_path(parents, ex[1])) + (b,))
+        assert _path_to_neighbor(g, v, avoid, b, radius) == expected
 
 
 class TestSparseUnits:

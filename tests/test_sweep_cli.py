@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -271,6 +275,21 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["sweep", "--t", "bad"])
         assert err.value.code == 1
+
+    def test_gen_impossible_regular_pairing_exits_one(self, tmp_path):
+        # near-complete degrees almost never pair up simply; the retry cap
+        # turns an endless loop into a usage error
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        done = subprocess.run(
+            [sys.executable, "-m", "minorkit.cli", "gen", "--family", "random_regular",
+             "--n", "60", "--param", "57", "--out", str(tmp_path / "g.txt")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "no simple 57-regular pairing on 60 vertices" in done.stderr
+        assert not (tmp_path / "g.txt").exists()
 
     def test_budget_flag_accepted(self, graph_file):
         assert main([
