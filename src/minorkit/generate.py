@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -180,7 +181,8 @@ def _random_regular(n: int, d: int, seed: int) -> Graph:
     for _ in range(MAX_PAIRING_ATTEMPTS):
         edges = try_once()
         if edges is not None:
-            return Graph(n, edges)
+            pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+            return Graph(n, pairs.reshape(-1, 2))
     raise ValueError(
         f"no simple {d}-regular pairing on {n} vertices in {MAX_PAIRING_ATTEMPTS} attempts"
     )

@@ -23,6 +23,8 @@ be shared freely across worker threads.
 
 from __future__ import annotations
 
+import re
+import warnings
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -217,7 +219,7 @@ def ball(g: Graph, s: Iterable[int], radius: int, avoid: Iterable[int] = ()) -> 
 
 def _mask(n: int, vertices: Iterable[int]) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
-    mask[np.fromiter(map(int, vertices), dtype=np.int64)] = True
+    mask[np.fromiter(vertices, dtype=np.int64)] = True
     return mask
 
 
@@ -537,46 +539,76 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> InducedSubgraph:
 
 # -- text formats -------------------------------------------------------------
 
+# a line whose first character is one of these holds an id, never a comment
+_ID_START = frozenset("0123456789+-")
+# every token numpy's int64 reader takes, before its range check
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _kept(line: str) -> bool:
+    """False for a blank line and a ``#``, ``c`` or ``c ...`` comment."""
+    s = line.strip()
+    return s[:1] not in "#c" or s[:1] == "c" and s[1:2] not in " "
+
 
 def parse_graph_text(text: str) -> Graph:
     """Parse a graph from edge-list or DIMACS text.
 
     Edge-list lines are ``u v`` (0-based, whitespace separated, ``#``
     comments).  DIMACS uses ``p edge n m`` / ``e u v`` lines (1-based).
+    Blank lines and ``#``, ``c`` and ``c ...`` lines are skipped, columns
+    after the ids are ignored, and the ids of all kept lines are read in
+    one call of numpy's text reader.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith(("#", "c ")) and ln != "c"]
+    lines = [ln for ln in text.splitlines() if ln[:1] in _ID_START or _kept(ln)]
     if not lines:
         return Graph(0)
-    if lines[0].startswith("p "):
+    if lines[0].strip().startswith("p "):
         return _parse_dimacs(lines)
-    edges = []
-    top = -1
-    for ln in lines:
-        parts = ln.split()
-        if len(parts) < 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if u < 0 or v < 0:
-            raise ValueError("edge-list vertices must be non-negative")
-        edges.append((u, v))
-        top = max(top, u, v)
-    return Graph(top + 1, edges)
+    pairs = _id_columns(lines, (0, 1), nonnegative=True)
+    if pairs.min() < 0:
+        raise ValueError("edge-list vertices must be non-negative")
+    return Graph(int(pairs.max()) + 1, pairs)
 
 
 def _parse_dimacs(lines: list) -> Graph:
     header = lines[0].split()
     if len(header) < 4 or header[0] != "p":
-        raise ValueError(f"bad DIMACS header: {lines[0]!r}")
+        raise ValueError(f"bad DIMACS header: {lines[0].strip()!r}")
     n = int(header[2])
-    edges = []
-    for ln in lines[1:]:
+    edges = [ln for ln in lines[1:] if ln.split(maxsplit=1)[0] == "e"]
+    return Graph(n, _id_columns(edges, (1, 2), nonnegative=False) - 1)
+
+
+def _id_columns(lines: list, cols: tuple, nonnegative: bool) -> np.ndarray:
+    """Columns ``cols`` of ``lines`` as an ``(m, 2)`` int64 array.
+
+    On a tokeniser error the lines are rescanned only to name the first bad
+    one: too few columns, a token ``int`` rejects (with its message), a
+    negative id where ``nonnegative``, or an id that is not a decimal int64.
+    """
+    if not lines:
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        with warnings.catch_warnings():
+            # numpy releases that still read "1.0" as the int 1 warn with a
+            # DeprecationWarning; reject the token as ``int`` does
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(lines, dtype=np.int64, usecols=cols, ndmin=2, comments=None)
+    except (ValueError, DeprecationWarning) as exc:
+        error = exc
+    for ln in map(str.strip, lines):
         parts = ln.split()
-        if parts[0] != "e":
-            continue
-        u, v = int(parts[1]) - 1, int(parts[2]) - 1
-        edges.append((u, v))
-    return Graph(n, edges)
+        if len(parts) <= cols[1]:
+            raise ValueError(f"bad edge line: {ln!r}")
+        ids = [parts[c] for c in cols]
+        values = [int(tok) for tok in ids]
+        if nonnegative and min(values) < 0:
+            raise ValueError("edge-list vertices must be non-negative")
+        for tok, value in zip(ids, values):
+            if not _DECIMAL.fullmatch(tok) or not -2**63 <= value < 2**63:
+                raise ValueError(f"vertex id {tok!r} is not a decimal int64 in line {ln!r}")
+    raise ValueError(f"cannot read edge lines: {error}")
 
 
 def load_graph(path) -> Graph:

@@ -84,6 +84,21 @@ def test_construct_spans_count_edges(tracer_module, family, n, param, blobs):
     assert tracer.spans[2][4] == {"edges": sub.graph.edge_count} and sub.graph.edge_count > 0
 
 
+def test_parsed_text_is_one_construct_span(tracer_module):
+    # the text reader hands one id array to Graph, so parsing shows as one
+    # graph.construct span carrying the parsed graph's edge count
+    minorkit = importlib.import_module("minorkit")
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        g = minorkit.parse_graph_text("# n = 5\n0 1\n1 2\n2 0\n3 4\n1 0\n")
+    finally:
+        tracer.uninstall()
+    construct = [span for span in tracer.spans if span[0] == "graph.construct"]
+    assert len(construct) == 1
+    assert construct[0][4] == {"edges": g.edge_count} and g.edge_count == 4
+
+
 def hook_points(tracer_module):
     return [site for _name, _counter, sites in tracer_module.PATCHES for site in sites]
 

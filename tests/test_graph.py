@@ -21,6 +21,7 @@ from minorkit import (
     set_radius_center,
 )
 from minorkit.graph import (
+    _mask,
     bfs_layer_sizes,
     bfs_levels,
     bfs_parents,
@@ -422,6 +423,158 @@ class TestParsing:
     def test_bad_line_errors(self):
         with pytest.raises(ValueError):
             parse_graph_text("0\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_edge_list_matches_loop_reference(self, data):
+        n = data.draw(st.integers(2, 30))
+        vertex = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                                   max_size=40))
+        lines = [render_ids(data, (u, v)) for u, v in pairs]
+        text = join_lines(data, interleave(data, lines, FILLER_LINES))
+        assert_parses_like_reference(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_dimacs_matches_loop_reference(self, data):
+        n = data.draw(st.integers(2, 30))
+        vertex = st.integers(1, n)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                                   max_size=40))
+        lines = [render_ids(data, (u, v), first="e") for u, v in pairs]
+        other = FILLER_LINES + ["n 1 5", "x", "e1 2 3", "p edge 9 9", "v 1 2 3"]
+        body = interleave(data, lines, other)
+        head = data.draw(st.lists(st.sampled_from(FILLER_LINES), max_size=3))
+        text = join_lines(data, head + [f"  p edge {n} {len(pairs)}"] + body)
+        assert_parses_like_reference(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bad_lines_raise_like_the_loop(self, data):
+        dimacs = data.draw(st.booleans())
+        good = st.tuples(st.integers(1, 6), st.integers(1, 6)).filter(lambda e: e[0] != e[1])
+        bad = st.sampled_from(["5", "x 1", "1 y", "1.0 2", "0x1 2", "-1 2", "2 -3", "3 3", "+2 1",
+                               "1 2#x", "# 1 2", "1e3 2", "07 1", "c\t1 2", "cx 1 2"])
+        lines = data.draw(st.lists(st.one_of(good.map(lambda e: f"{e[0]} {e[1]}"), bad),
+                                   min_size=1, max_size=12))
+        if dimacs:
+            lines = ["p edge 8 0"] + ["e " + ln for ln in lines]
+        text = join_lines(data, lines)
+        try:
+            reference = parse_graph_text_reference(text)
+        except IndexError:
+            assert dimacs  # a truncated DIMACS edge line, now named
+            with pytest.raises(ValueError, match="bad edge line: 'e "):
+                parse_graph_text(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                parse_graph_text(text)
+            assert str(raised.value) == str(exc)  # the same first bad line
+        else:
+            g = parse_graph_text(text)
+            assert g.n == reference.n
+            assert_csr_equal(g, reference._indptr, reference._indices)
+
+    @pytest.mark.parametrize("text", ["p edge 3 1\ne 1\n", "p edge 3 1\ne\n"])
+    def test_truncated_dimacs_edge_line_is_named(self, text):
+        with pytest.raises(ValueError, match=r"bad edge line: 'e( 1)?'"):
+            parse_graph_text(text)
+
+    # Python's int takes these tokens and the loop accepted them (the huge
+    # ids then failed as a vertex count); numpy's int64 reader does not, so
+    # the array reader names them
+    @pytest.mark.parametrize("token", ["1_000", "٣", "100000000000000000000", "9223372036854775808"])
+    def test_ids_int_takes_but_int64_reader_rejects(self, token):
+        text = f"0 1\n2 {token} extra\n"
+        try:
+            assert parse_graph_text_reference(text).n == int(token) + 1
+        except ValueError as exc:
+            assert "outside 0..2147483647" in str(exc)
+        with pytest.raises(ValueError) as raised:
+            parse_graph_text(text)
+        assert str(raised.value) == f"vertex id '{token}' is not a decimal int64 in line '2 {token} extra'"
+
+    def test_huge_negative_id_is_negative(self):
+        text = "0 1\n2 -100000000000000000000\n"
+        for parse in (parse_graph_text_reference, parse_graph_text):
+            with pytest.raises(ValueError, match="^edge-list vertices must be non-negative$"):
+                parse(text)
+
+
+# the per-line loop that the array reader replaced, kept as its reference
+# (a truncated DIMACS edge line raised IndexError here)
+def parse_graph_text_reference(text):
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith(("#", "c ")) and ln != "c"]
+    if not lines:
+        return Graph(0)
+    if lines[0].startswith("p "):
+        header = lines[0].split()
+        if len(header) < 4 or header[0] != "p":
+            raise ValueError(f"bad DIMACS header: {lines[0]!r}")
+        edges = []
+        for ln in lines[1:]:
+            parts = ln.split()
+            if parts[0] != "e":
+                continue
+            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+        return Graph(int(header[2]), edges)
+    edges = []
+    top = -1
+    for ln in lines:
+        parts = ln.split()
+        if len(parts) < 2:
+            raise ValueError(f"bad edge line: {ln!r}")
+        u, v = int(parts[0]), int(parts[1])
+        if u < 0 or v < 0:
+            raise ValueError("edge-list vertices must be non-negative")
+        edges.append((u, v))
+        top = max(top, u, v)
+    return Graph(top + 1, edges)
+
+
+SPACES = [" ", "\t", "  ", "　", "\x1f", "\xa0"]
+FILLER_LINES = ["", "   ", "\t", "#", "# n = 5, m = 2", "  #0 1", "c", "c 0 1", " c  x", "c\t"]
+
+
+def render_ids(data, ids, first=None):
+    """One line holding ``ids``: random spacing, signs, leading zeros, an
+    optional leading ``first`` token and optional extra columns."""
+    space = st.sampled_from(SPACES)
+    tokens = [first] if first else []
+    tokens += [data.draw(st.sampled_from(["", "+", "0", "00"])) + str(v) for v in ids]
+    tokens += data.draw(st.lists(st.sampled_from(["7", "x", "#", "# note", "-1", "1.5"]), max_size=2))
+    line = "".join(tok + data.draw(space) for tok in tokens[:-1]) + tokens[-1]
+    edge = st.sampled_from([""] + SPACES)
+    return data.draw(edge) + line + data.draw(edge)
+
+
+def interleave(data, lines, filler):
+    out = []
+    for ln in lines:
+        out += data.draw(st.lists(st.sampled_from(filler), max_size=2))
+        out.append(ln)
+    return out
+
+
+def join_lines(data, lines):
+    return "".join(ln + data.draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b"])) for ln in lines)
+
+
+def assert_parses_like_reference(text):
+    reference = parse_graph_text_reference(text)
+    g = parse_graph_text(text)
+    assert g.n == reference.n
+    assert_csr_equal(g, reference._indptr, reference._indices)
+
+
+def test_mask_takes_python_and_numpy_ints():
+    want = [False, True, False, True, True]
+    for vertices in ([1, 3, 4], {np.int32(1), np.int64(3), 4}, (v for v in np.array([4, 1, 3])),
+                     np.array([3, 4, 1], dtype=np.int32), frozenset({4, 3, 1})):
+        assert _mask(5, vertices).tolist() == want
+    assert not _mask(3, ()).any()
 
 
 def test_bfs_levels_stop_size_completes_layer():

@@ -172,6 +172,18 @@ class TestCli:
         assert err.startswith("error:") and "outside 0..2147483647" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text,named", [
+        ("p edge 3 1\ne 1\n", "bad edge line: 'e 1'"),
+        ("0 1\n1 100000000000000000000\n", "vertex id '100000000000000000000'"),
+    ])
+    def test_unreadable_edge_line_is_an_input_error(self, tmp_path, capsys, text, named):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["find-minor", "--input", str(path), "--t", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read graph from {path}:") and named in err
+        assert "Traceback" not in err
+
     def test_find_minor_not_found_exit_code(self, tmp_path):
         tree = random_tree(300, seed=4)
         path = tmp_path / "tree.txt"
