@@ -32,8 +32,8 @@ from .graph import (
 )
 from .minor import (
     MinorModel,
-    MinorPipelineResult,
     NiceSet,
+    PipelineResult,
     build_small_minor,
     caro_wei_bound,
     conflict_prune,
@@ -43,8 +43,6 @@ from .minor import (
 )
 from .subdivision import (
     DegreeSplit,
-    LexConnectState,
-    SubdivisionPipelineResult,
     build_units_dense,
     build_units_sparse,
     connect_units,

@@ -19,7 +19,7 @@ SUBDIVISION_COEFF_UPPER = 10.0 / 23.0
 DEFAULT_DEGREE_FLOOR_COEFF = 1.0 / 128.0
 
 
-def minor_density_target(t: int, coefficient: float = MINOR_COEFFICIENT) -> float:
+def minor_density_target(t: int) -> float:
     """Default declared density above which a K_t-minor hunt is attempted.
 
     The asymptotic form underestimates badly at small t, so the exact small-t
@@ -27,14 +27,14 @@ def minor_density_target(t: int, coefficient: float = MINOR_COEFFICIENT) -> floa
     """
     if t < 2:
         return 1.0
-    asymptotic = coefficient * t * math.sqrt(max(math.log(t), 1e-9))
+    asymptotic = MINOR_COEFFICIENT * t * math.sqrt(max(math.log(t), 1e-9))
     return max(2.0 * (t - 2), asymptotic, 1.0)
 
 
-def subdivision_density_target(t: int, coefficient: float = SUBDIVISION_COEFF_UPPER) -> float:
+def subdivision_density_target(t: int) -> float:
     if t < 2:
         return 1.0
-    return max(coefficient * t * t, 2.0)
+    return max(SUBDIVISION_COEFF_UPPER * t * t, 2.0)
 
 
 def degree_floor(t: int, coefficient: float = DEFAULT_DEGREE_FLOOR_COEFF) -> float:

@@ -56,6 +56,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive(kind):
+    """argparse type: a ``kind`` number above 0 (NaN is rejected too)."""
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _budget(args) -> int | None:
     if args.budget_ms is None:
         return None
@@ -100,16 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-minor", help="construct a verified complete-minor witness")
     _common_io(p)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=1.0)
+    p.add_argument("--t", type=_positive(int), required=True)
+    p.add_argument("--epsilon", type=_positive(float), default=1.0)
     p.add_argument("--density-target", type=float, default=None)
     p.add_argument("--trace", action="store_true",
                    help="include the extraction step trace in JSON output")
 
     p = sub.add_parser("find-subdivision", help="construct a verified subdivision witness")
     _common_io(p)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=1.0)
+    p.add_argument("--t", type=_positive(int), required=True)
+    p.add_argument("--epsilon", type=_positive(float), default=1.0)
     p.add_argument("--mode", choices=[MODE_SUBDIVISION, MODE_MINOR_OR_SUBDIVISION],
                    default=MODE_SUBDIVISION)
     p.add_argument("--degree-floor-c", type=float, default=None,
@@ -139,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
     p.add_argument("--param", type=float, default=0.0)
     p.add_argument("--blob-count", type=int, default=1)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=1.0)
+    p.add_argument("--t", type=_positive(int), required=True)
+    p.add_argument("--epsilon", type=_positive(float), default=1.0)
     p.add_argument("--mode", choices=list(SWEEP_MODES), default="minor")
     p.add_argument("--floor", type=int, default=32)
     p.add_argument("--budget-ms", type=float, default=None)
@@ -231,37 +242,28 @@ def _cmd_extract(args) -> int:
 
 def _cmd_find_minor(args) -> int:
     g = _load_input(args)
-    res = find_minor_pipeline(
+    return _report_pipeline(args, find_minor_pipeline(
         g, args.t, args.epsilon, density_target=args.density_target,
         stop_floor=args.floor, budget_ops=_budget(args),
-    )
-    payload = {
-        "outcome": res.outcome,
-        "detail": res.detail,
-        "diagnostics": res.diagnostics,
-        "witness_size": res.witness_size,
-        "brute_force_answer": res.brute_force_answer,
-    }
-    if res.model is not None:
-        payload["witness"] = res.model.to_json_dict()
-    if args.trace and res.extraction is not None:
-        payload["extraction_trace"] = res.extraction.trace_json()
-    print(json.dumps({k: v for k, v in payload.items() if k not in ("witness", "extraction_trace")}))
-    if args.json_out:
-        _write_json(args.json_out, payload)
-    return EXIT_WITNESS if res.outcome == "minor" else EXIT_NOT_FOUND
+    ))
 
 
 def _cmd_find_subdivision(args) -> int:
     g = _load_input(args)
-    res = find_subdivision_pipeline(
+    return _report_pipeline(args, find_subdivision_pipeline(
         g, args.t, args.epsilon, mode=args.mode,
         degree_floor_coeff=args.degree_floor_c,
         stop_floor=args.floor, budget_ops=_budget(args),
-    )
+    ))
+
+
+def _report_pipeline(args, res) -> int:
+    """Print a pipeline result (the subdivision pipeline's with its route),
+    write it with the witness to --json-out, and return the exit code."""
+    route = {} if res.route is None else {"route": res.route}
     payload = {
         "outcome": res.outcome,
-        "route": res.route,
+        **route,
         "detail": res.detail,
         "diagnostics": res.diagnostics,
         "witness_size": res.witness_size,
@@ -269,14 +271,12 @@ def _cmd_find_subdivision(args) -> int:
     }
     if res.model is not None:
         payload["witness"] = res.model.to_json_dict()
-    elif res.minor_model is not None:
-        payload["witness"] = res.minor_model.to_json_dict()
     if args.trace and res.extraction is not None:
         payload["extraction_trace"] = res.extraction.trace_json()
     print(json.dumps({k: v for k, v in payload.items() if k not in ("witness", "extraction_trace")}))
     if args.json_out:
         _write_json(args.json_out, payload)
-    return EXIT_WITNESS if res.outcome in ("subdivision", "minor") else EXIT_NOT_FOUND
+    return EXIT_WITNESS if res.model is not None else EXIT_NOT_FOUND
 
 
 def _cmd_verify(args) -> int:

@@ -577,7 +577,13 @@ def _parse_dimacs(lines: list) -> Graph:
         raise ValueError(f"bad DIMACS header: {lines[0].strip()!r}")
     n = int(header[2])
     edges = [ln for ln in lines[1:] if ln.split(maxsplit=1)[0] == "e"]
-    return Graph(n, _id_columns(edges, (1, 2), nonnegative=False) - 1)
+    ids = _id_columns(edges, (1, 2), nonnegative=False)
+    outside = (ids < 1) | (ids > n)
+    if n >= 0 and outside.any():  # a negative count is Graph's to name
+        row, col = divmod(int(np.argmax(outside)), 2)
+        line = edges[row].strip()
+        raise ValueError(f"DIMACS vertex id {line.split()[1 + col]} outside 1..{n} in line {line!r}")
+    return Graph(n, ids - 1)
 
 
 def _id_columns(lines: list, cols: tuple, nonnegative: bool) -> np.ndarray:

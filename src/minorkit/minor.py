@@ -19,7 +19,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .routing import (
     path_through_scaffold,
 )
 from .verify import brute_force_has_minor, verify_minor_model, BRUTE_FORCE_MAX_N, BRUTE_FORCE_MAX_T
-from .witnesses import MinorModel
+from .witnesses import MinorModel, SubdivisionModel
 
 log = logging.getLogger(__name__)
 
@@ -249,7 +249,7 @@ def build_small_minor(
         raise ValueError("empty graph")
     if t == 1:
         model = MinorModel(1, (frozenset({0}),))
-        _certify(h, model)
+        verify_minor_model(h, model).certify("built minor model failed verification")
         return model
 
     if set_size is None:
@@ -276,7 +276,7 @@ def build_small_minor(
     state.hubs.append(min(state.index_set))
 
     model = _assemble_branch_sets(t, state, by_index)
-    _certify(h, model)
+    verify_minor_model(h, model).certify("built minor model failed verification")
     if _asymptotic_targets_met(m, t, count) and model.total_vertices > 4 * d.k * t * t:
         raise InvariantViolation(
             f"model uses {model.total_vertices} vertices, above the 4kt^2 bound"
@@ -383,29 +383,55 @@ def _asymptotic_targets_met(m: int, t: int, count: int) -> bool:
     return count >= math.floor(m ** 0.25) >= 4 * (t + 1)
 
 
-def _certify(h: Graph, model: MinorModel):
-    report = verify_minor_model(h, model)
-    if not report.valid:
-        raise InvariantViolation(f"built minor model failed verification: {report.violations}")
-
-
 # -- pipeline -------------------------------------------------------------------
 
 
 @dataclass
-class MinorPipelineResult:
-    outcome: str  # "minor" | "handoff" | "stalled"
-    model: Optional[MinorModel] = None
+class PipelineResult:
+    """What either pipeline returns.  ``model`` holds the certified witness,
+    a MinorModel or a SubdivisionModel, and is set exactly when ``outcome``
+    is ``"minor"`` or ``"subdivision"``; in minor-or-subdivision mode a
+    fallback minor is there too.  ``units`` and ``route`` are the
+    subdivision pipeline's (``route`` stays None in the minor pipeline)."""
+
+    outcome: str  # "minor" | "subdivision" | "handoff" | "stalled"
+    model: Optional[Union[MinorModel, SubdivisionModel]] = None
+    units: Optional[list] = None
     extraction: Optional[ExtractionResult] = None
     brute_force_answer: Optional[bool] = None
     detail: str = ""
     diagnostics: dict = field(default_factory=dict)  # ConstructionStalled.diagnostics
     params: Optional[ExpansionParams] = None
     scales: Optional[DerivedScales] = None
+    route: Optional[str] = None
 
     @property
     def witness_size(self) -> Optional[int]:
-        return self.model.total_vertices if self.model else None
+        return self.model.total_vertices if self.model is not None else None
+
+
+def check_pipeline_args(g: Graph, t: int, epsilon: float) -> None:
+    """Reject ``t < 1``, ``epsilon <= 0`` (or NaN) and an empty graph
+    before any work."""
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if g.n == 0:
+        raise ValueError("empty graph")
+
+
+def handoff_result(extraction: ExtractionResult, t: int, **fields) -> PipelineResult:
+    """The below-threshold result: the brute-force minor answer when the
+    extracted graph is small enough, and where extraction stopped."""
+    h = extraction.subgraph.graph
+    answer = None
+    if h.n <= BRUTE_FORCE_MAX_N and t <= BRUTE_FORCE_MAX_T:
+        answer = brute_force_has_minor(h, t)
+    return PipelineResult(
+        outcome="handoff", extraction=extraction, brute_force_answer=answer,
+        detail=f"extraction stopped below threshold at n={h.n}", **fields,
+    )
 
 
 def find_minor_pipeline(
@@ -415,7 +441,7 @@ def find_minor_pipeline(
     density_target: Optional[float] = None,
     stop_floor: int = DEFAULT_STOP_FLOOR,
     budget_ops: Optional[int] = None,
-) -> MinorPipelineResult:
+) -> PipelineResult:
     """End-to-end: extract an expander, build a K_t-minor witness, certify it.
 
     delta is set to epsilon / (3 * density_target), capped at 1/2, and eta
@@ -424,8 +450,7 @@ def find_minor_pipeline(
     Below-threshold extractions are handed to the brute-force oracle when
     small enough.
     """
-    if g.n == 0:
-        raise ValueError("empty graph")
+    check_pipeline_args(g, t, epsilon)
     if density_target is None:
         density_target = minor_density_target(t)
     if average_degree(g) < density_target:
@@ -439,39 +464,15 @@ def find_minor_pipeline(
         g, params, small_set_mode=False, stop_floor=stop_floor, budget_ops=budget_ops
     )
     sub = extraction.subgraph
-
     if extraction.mode == MODE_BELOW_THRESHOLD:
-        answer = None
-        if sub.graph.n <= BRUTE_FORCE_MAX_N and t <= BRUTE_FORCE_MAX_T:
-            answer = brute_force_has_minor(sub.graph, t)
-        return MinorPipelineResult(
-            outcome="handoff",
-            extraction=extraction,
-            brute_force_answer=answer,
-            detail=f"extraction stopped below threshold at n={sub.graph.n}",
-            params=params,
-        )
+        return handoff_result(extraction, t, params=params)
 
     scales = derived_scales(sub.graph.n, params)
+    common = dict(extraction=extraction, params=params, scales=scales)
     try:
         local = build_small_minor(sub.graph, t, scales, params)
     except ConstructionStalled as exc:
-        return MinorPipelineResult(
-            outcome="stalled",
-            extraction=extraction,
-            detail=str(exc),
-            diagnostics=exc.diagnostics,
-            params=params,
-            scales=scales,
-        )
+        return PipelineResult("stalled", detail=str(exc), diagnostics=exc.diagnostics, **common)
     model = local.remap(sub.new_to_old)
-    report = verify_minor_model(g, model)
-    if not report.valid:
-        raise InvariantViolation(f"remapped model failed verification: {report.violations}")
-    return MinorPipelineResult(
-        outcome="minor",
-        model=model,
-        extraction=extraction,
-        params=params,
-        scales=scales,
-    )
+    verify_minor_model(g, model).certify("remapped model failed verification")
+    return PipelineResult("minor", model=model, **common)

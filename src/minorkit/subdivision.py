@@ -32,7 +32,6 @@ from .expansion import (
     MODE_BELOW_THRESHOLD,
     DerivedScales,
     ExpansionParams,
-    ExtractionResult,
     derived_scales,
     extract_expander,
     size_cap,
@@ -50,22 +49,21 @@ from .graph import (
     reached_in_order,
     trace_path,
 )
-from .minor import build_small_minor, route_and_prune
+from .minor import (
+    PipelineResult,
+    build_small_minor,
+    check_pipeline_args,
+    handoff_result,
+    route_and_prune,
+)
 from .routing import (
     backtrack_chain,
     grow_balls_to_common_hub,
     path_through_scaffold,
     trim_to_size,
 )
-from .verify import (
-    BRUTE_FORCE_MAX_N,
-    BRUTE_FORCE_MAX_T,
-    brute_force_has_minor,
-    verify_minor_model,
-    verify_subdivision,
-    verify_unit,
-)
-from .witnesses import MinorModel, SubdivisionModel, Unit
+from .verify import verify_minor_model, verify_subdivision, verify_unit
+from .witnesses import SubdivisionModel, Unit
 
 log = logging.getLogger(__name__)
 
@@ -250,8 +248,9 @@ def _one_dense_unit(h, split, t, d, p, w0) -> Unit:
     set_size = unit_set_size(m, p.sigma)
     thr = split.threshold
     if set_size > thr + 1:
-        # only at astronomical m: extend each star by ball growth to m^sigma
-        used = set(w0)
+        # only at astronomical m: extend each star by ball growth to m^sigma,
+        # clear of every other live star and of the earlier extensions
+        used = set(w0).union(*star_sets.values())
         extended = {}
         for i in sorted(work_sets):
             lv = bfs_levels(h, [centers[i]], avoid=used - star_sets[i], radius=d.k,
@@ -273,9 +272,10 @@ def _one_dense_unit(h, split, t, d, p, w0) -> Unit:
 @dataclass
 class _ConnectState:
     """Surviving indices of the unit rounds and their stored paths: ``paths``
-    keyed (round, idx), plus on the sparse route the boundary paths
-    ``qpaths`` keyed (beta, idx) and the boundary corners ``bhubs``.  Paths
-    are kept for surviving indices only."""
+    keyed (round, idx), or (alpha, beta, unit) in the unit connection, plus
+    on the sparse route the boundary paths ``qpaths`` keyed (beta, idx) and
+    the boundary corners ``bhubs``.  Paths are kept for surviving indices
+    only; a key's last element is its index."""
 
     indices: list
     paths: dict = field(default_factory=dict)
@@ -292,8 +292,8 @@ class _ConnectState:
     def drop_to(self, survivors):
         self.indices = sorted(survivors)
         keep = set(self.indices)
-        self.paths = {k: v for k, v in self.paths.items() if k[1] in keep}
-        self.qpaths = {k: v for k, v in self.qpaths.items() if k[1] in keep}
+        self.paths = {k: v for k, v in self.paths.items() if k[-1] in keep}
+        self.qpaths = {k: v for k, v in self.qpaths.items() if k[-1] in keep}
 
 
 def _dense_round(h, t, d, p, w0, centers, star_sets, work_sets, state, round_no):
@@ -331,17 +331,8 @@ def _assemble_unit(h, t, d, p, state, centers, work_sets, set_size) -> Unit:
     final_sets = []
     for s in range(1, t + 1):
         owner = owners[s - 1]
-        pa = state.paths.get((s, corner_idx))
-        pb = state.paths.get((s, owner))
-        if pa is None or pb is None:
-            raise InvariantViolation(f"missing connection path in round {s}")
-        scaffold = set(pa.vertices) | set(pb.vertices)
-        spoke = path_through_scaffold(h, scaffold, corner, centers[owner])
-        if spoke is None:
-            raise InvariantViolation(f"round-{s} paths do not join up")
-        if spoke.length > 6 * d.k:
-            raise InvariantViolation(f"spoke length {spoke.length} exceeds 6k")
-        spokes.append(spoke)
+        pieces = (state.paths.get((s, corner_idx)), state.paths.get((s, owner)))
+        spokes.append(_join(h, pieces, corner, centers[owner], 6 * d.k, f"the round-{s} spoke"))
         final_sets.append(trim_to_size(h, work_sets[owner], centers[owner], set_size))
     unit = Unit(
         corner=corner,
@@ -350,10 +341,22 @@ def _assemble_unit(h, t, d, p, state, centers, work_sets, set_size) -> Unit:
         centers=tuple(centers[o] for o in owners),
         sigma=p.sigma,
     )
-    report = verify_unit(h, unit, d)
-    if not report.valid:
-        raise InvariantViolation(f"built unit failed verification: {report.violations}")
+    verify_unit(h, unit, d).certify("built unit failed verification")
     return unit
+
+
+def _join(h, pieces, a, b, bound, what) -> Path:
+    """Shortest ``a``-``b`` path inside the union of the stored ``pieces``,
+    at most ``bound`` long; a missing piece, no such path or a longer one
+    is a bug."""
+    if any(piece is None for piece in pieces):
+        raise InvariantViolation(f"a stored path of {what} is missing")
+    path = path_through_scaffold(h, set().union(*(piece.vertices for piece in pieces)), a, b)
+    if path is None:
+        raise InvariantViolation(f"the stored paths of {what} do not join")
+    if path.length > bound:
+        raise InvariantViolation(f"{what} has length {path.length} > {bound}")
+    return path
 
 
 # -- sparse route ----------------------------------------------------------------
@@ -628,21 +631,11 @@ def _assemble_direct_subdivision(h, t, d, state, centers) -> SubdivisionModel:
     edge_paths = {}
     for pos, (i, j) in enumerate(pairs):
         idx = chosen[pos]
-        qa = state.qpaths.get((i + 1, idx))
-        qb = state.qpaths.get((j + 1, idx))
-        if qa is None or qb is None:
-            raise InvariantViolation(f"missing boundary path for pair {(i, j)}")
-        scaffold = set(qa.vertices) | set(qb.vertices)
-        path = path_through_scaffold(h, scaffold, corners[i], corners[j])
-        if path is None:
-            raise InvariantViolation(f"boundary paths for {(i, j)} do not join")
-        if path.length > 2 * d.l + 2:
-            raise InvariantViolation("boundary pair path exceeds the 2l bound")
-        edge_paths[(i, j)] = path
+        pieces = (state.qpaths.get((i + 1, idx)), state.qpaths.get((j + 1, idx)))
+        edge_paths[(i, j)] = _join(h, pieces, corners[i], corners[j], 2 * d.l + 2,
+                                   f"boundary pair {(i, j)}")
     model = SubdivisionModel(t, corners, edge_paths)
-    report = verify_subdivision(h, model)
-    if not report.valid:
-        raise InvariantViolation(f"direct subdivision failed verification: {report.violations}")
+    verify_subdivision(h, model).certify("direct subdivision failed verification")
     return model
 
 
@@ -685,7 +678,7 @@ def connect_units(
             size = min(size, len(u.sets[j]))
             trimmed[(i, j)] = trim_to_size(h, u.sets[j], u.centers[j], size)
 
-    state = LexConnectState(indices=list(range(len(units))))
+    state = _ConnectState(indices=list(range(len(units))))
     for alpha in range(1, t + 1):
         for beta in range(1, t + 1):
             _connect_step(h, units, trimmed, state, alpha, beta, t, d, p)
@@ -695,48 +688,21 @@ def connect_units(
     for (i, j), c in sorted(color.items()):
         e = tag[(i, j)]
         ui, uj = units[chosen[i]], units[chosen[j]]
-        qa = state.paths.get((c, e, chosen[i]))
-        qb = state.paths.get((c, e, chosen[j]))
-        if qa is None or qb is None:
-            raise InvariantViolation(f"missing hub path for colored pair {(i, j)}")
-        scaffold = (
-            set(ui.spokes[c - 1].vertices)
-            | set(qa.vertices)
-            | set(qb.vertices)
-            | set(uj.spokes[c - 1].vertices)
-        )
-        path = path_through_scaffold(h, scaffold, ui.corner, uj.corner)
-        if path is None:
-            raise InvariantViolation(f"pieces for pair {(i, j)} do not join")
-        if path.length > 16 * d.k:
-            raise InvariantViolation("corner pair path exceeds the 16k bound")
-        edge_paths[(i, j)] = path
+        pieces = (ui.spokes[c - 1], state.paths.get((c, e, chosen[i])),
+                  state.paths.get((c, e, chosen[j])), uj.spokes[c - 1])
+        edge_paths[(i, j)] = _join(h, pieces, ui.corner, uj.corner, 16 * d.k,
+                                   f"corner pair {(i, j)}")
     model = SubdivisionModel(t, tuple(units[c].corner for c in chosen), edge_paths)
-    report = verify_subdivision(h, model)
-    if not report.valid:
-        raise InvariantViolation(f"connected subdivision failed verification: {report.violations}")
+    verify_subdivision(h, model).certify("connected subdivision failed verification")
     return model
 
 
-@dataclass
-class LexConnectState:
-    """State of the lexicographic unit connection: surviving units and the
-    stored hub paths keyed (alpha, beta, unit).  Every step keeps at least t
-    survivors.  The stored-path conditions are asserted at every insertion."""
-
-    indices: list
-    paths: dict = field(default_factory=dict)  # (alpha, beta, i) -> Path
-
-
-def _connect_step(h, units, trimmed, state: LexConnectState, alpha, beta, t, d, p):
+def _connect_step(h, units, trimmed, state: _ConnectState, alpha, beta, t, d, p):
+    # one step of the lexicographic connection; the stored hub paths are
+    # keyed (alpha, beta, unit), and every step keeps at least t survivors
     indices = state.indices
     qmap = state.paths
-    w = set()
-    for i in indices:
-        for sp in units[i].spokes:
-            w.update(sp.vertices)
-    for path in qmap.values():
-        w.update(path.vertices)
+    w = state.used(v for i in indices for sp in units[i].spokes for v in sp.vertices)
     seeds = {}
     avoid_extra = {}
     for i in indices:
@@ -761,8 +727,7 @@ def _connect_step(h, units, trimmed, state: LexConnectState, alpha, beta, t, d, 
     kept = route_and_prune((alpha, beta), hub, covered, fam, t, route, msets, 2 * d.k)
     for i, path in kept.items():
         qmap[(alpha, beta, i)] = path
-    state.paths = {k: v for k, v in qmap.items() if k[2] in kept}
-    state.indices = list(kept)
+    state.drop_to(kept)
 
 
 def _route_unit_hub_path(h, units, trimmed, fam, i, alpha, hub, taken, avoid_extra, d):
@@ -821,30 +786,6 @@ MODE_SUBDIVISION = "subdivision"
 MODE_MINOR_OR_SUBDIVISION = "minor_or_subdivision"
 
 
-@dataclass
-class SubdivisionPipelineResult:
-    outcome: str  # "subdivision" | "minor" | "handoff" | "stalled"
-    model: Optional[SubdivisionModel] = None
-    # set in minor_or_subdivision mode when the constant-size fallback fires
-    minor_model: Optional[MinorModel] = None
-    units: Optional[list] = None
-    extraction: Optional[ExtractionResult] = None
-    brute_force_answer: Optional[bool] = None
-    detail: str = ""
-    diagnostics: dict = field(default_factory=dict)  # ConstructionStalled.diagnostics
-    params: Optional[ExpansionParams] = None
-    scales: Optional[DerivedScales] = None
-    route: str = ""
-
-    @property
-    def witness_size(self) -> Optional[int]:
-        if self.model is not None:
-            return self.model.total_vertices
-        if self.minor_model is not None:
-            return self.minor_model.total_vertices
-        return None
-
-
 def find_subdivision_pipeline(
     g: Graph,
     t: int,
@@ -854,18 +795,18 @@ def find_subdivision_pipeline(
     stop_floor: int = DEFAULT_STOP_FLOOR,
     budget_ops: Optional[int] = None,
     max_units: Optional[int] = None,
-) -> SubdivisionPipelineResult:
+) -> PipelineResult:
     """End-to-end: small-set extraction, degree split, units, connection.
 
     delta = epsilon/3 (capped below 1/2), eta = 1/300 t^3, sigma = 1/100t.
     Below-threshold extractions hand off to the brute-force minor oracle when
     small enough (for t <= 4 a complete minor and a complete subdivision are
-    equivalent, so the answer is exact there).
+    equivalent, so the answer is exact there).  In minor-or-subdivision mode
+    a handoff or a stall first tries the constant-size minor fallback.
     """
+    check_pipeline_args(g, t, epsilon)
     if mode not in (MODE_SUBDIVISION, MODE_MINOR_OR_SUBDIVISION):
         raise ValueError(f"unknown mode {mode!r}")
-    if g.n == 0:
-        raise ValueError("empty graph")
     if average_degree(g) < subdivision_density_target(t):
         log.warning(
             "input density %.3f below the declared subdivision target %.3f",
@@ -877,112 +818,65 @@ def find_subdivision_pipeline(
         g, params, small_set_mode=True, stop_floor=stop_floor, budget_ops=budget_ops
     )
     sub = extraction.subgraph
-    if extraction.mode == MODE_BELOW_THRESHOLD:
-        answer = None
-        if sub.graph.n <= BRUTE_FORCE_MAX_N and t <= BRUTE_FORCE_MAX_T:
-            answer = brute_force_has_minor(sub.graph, t)
-        if mode == MODE_MINOR_OR_SUBDIVISION:
-            mm = _constant_size_minor_fallback(g, sub, t, delta)
-            if mm is not None:
-                return SubdivisionPipelineResult(
-                    outcome="minor", minor_model=mm, extraction=extraction,
-                    brute_force_answer=answer, params=params, route="minor-fallback",
-                    detail=f"constant-size minor inside the n={sub.graph.n} handoff graph",
-                )
-        return SubdivisionPipelineResult(
-            outcome="handoff",
-            extraction=extraction,
-            brute_force_answer=answer,
-            detail=f"extraction stopped below threshold at n={sub.graph.n}",
-            params=params,
-        )
     h = sub.graph
+
+    def minor_fallback(res, detail) -> PipelineResult:
+        # minor-or-subdivision mode: a complete-minor witness in the small
+        # extracted graph, where the subdivision machinery does not fit
+        if mode != MODE_MINOR_OR_SUBDIVISION or h.n < t or h.n < 3:
+            return res
+        mparams = ExpansionParams.for_minor(t=t, delta=delta, ambient_n=max(h.n, 3))
+        try:
+            local = build_small_minor(h, t, derived_scales(h.n, mparams), mparams)
+        except (ConstructionStalled, ValueError):
+            return res
+        model = local.remap(sub.new_to_old)
+        verify_minor_model(g, model).certify("fallback minor failed verification")
+        res.outcome, res.model, res.route, res.detail = "minor", model, "minor-fallback", detail
+        return res
+
+    if extraction.mode == MODE_BELOW_THRESHOLD:
+        return minor_fallback(
+            handoff_result(extraction, t, params=params, route=""),
+            f"constant-size minor inside the n={h.n} handoff graph",
+        )
     m = h.n
     scales = derived_scales(m, params)
     if max_units is None:
         max_units = max(t + 2, math.floor(m ** params.sigma))
     stars_wanted = 4 * (t + 1) + 2
     split = split_by_degree(h, params.sigma, min_stars=stars_wanted)
+    common = dict(extraction=extraction, params=params, scales=scales)
+    units = None
     try:
         if split.kind == CASE_STARS:
             route = "dense"
-            units = build_units_dense(h, split, t, scales, params, max_units=max_units)
+            got = build_units_dense(h, split, t, scales, params, max_units=max_units)
         else:
             route = "sparse"
-            coeff_floor = (
-                default_degree_floor(t) if degree_floor_coeff is None
-                else degree_floor_coeff * t * math.sqrt(max(math.log(t), 1e-9)) + 3.0 * t
-            )
-            got = build_units_sparse(
-                h, split.x, t, scales, params,
-                degree_floor=coeff_floor, max_units=max_units,
-            )
-            if isinstance(got, SubdivisionModel):
-                model = got.remap(sub.new_to_old)
-                _certify_subdivision(g, model)
-                return SubdivisionPipelineResult(
-                    outcome="subdivision", model=model, extraction=extraction,
-                    params=params, scales=scales, route="sparse-direct",
-                )
+            floor = None if degree_floor_coeff is None else default_degree_floor(t, degree_floor_coeff)
+            got = build_units_sparse(h, split.x, t, scales, params,
+                                     degree_floor=floor, max_units=max_units)
+        if isinstance(got, SubdivisionModel):
+            route, local = "sparse-direct", got
+        else:
             units = got
-        if len(units) < t + 1:
-            raise ConstructionStalled(
-                f"only {len(units)} units built, need {t + 1} to connect",
-                stage="units",
-                diagnostics={"units": len(units), "needed": t + 1},
-            )
-        model_local = connect_units(h, units, t, scales, params)
-    except ConstructionStalled as exc:
-        if mode == MODE_MINOR_OR_SUBDIVISION:
-            mm = _constant_size_minor_fallback(g, sub, t, delta)
-            if mm is not None:
-                return SubdivisionPipelineResult(
-                    outcome="minor", minor_model=mm, extraction=extraction,
-                    params=params, scales=scales, route="minor-fallback",
-                    detail=f"unit construction stalled ({exc}); built a minor witness instead",
-                    diagnostics=exc.diagnostics,
+            if len(units) < t + 1:
+                raise ConstructionStalled(
+                    f"only {len(units)} units built, need {t + 1} to connect",
+                    stage="units",
+                    diagnostics={"units": len(units), "needed": t + 1},
                 )
-        return SubdivisionPipelineResult(
-            outcome="stalled",
-            extraction=extraction,
-            detail=str(exc),
-            diagnostics=exc.diagnostics,
-            params=params,
-            scales=scales,
-            route=route,
+            local = connect_units(h, units, t, scales, params)
+    except ConstructionStalled as exc:
+        return minor_fallback(
+            PipelineResult("stalled", detail=str(exc), diagnostics=exc.diagnostics,
+                           route=route, **common),
+            f"unit construction stalled ({exc}); built a minor witness instead",
         )
-    model = model_local.remap(sub.new_to_old)
-    _certify_subdivision(g, model)
-    return SubdivisionPipelineResult(
-        outcome="subdivision",
-        model=model,
-        units=[u.remap(sub.new_to_old) for u in units],
-        extraction=extraction,
-        params=params,
-        scales=scales,
-        route=route,
-    )
-
-
-def _certify_subdivision(g: Graph, model: SubdivisionModel):
-    report = verify_subdivision(g, model)
-    if not report.valid:
-        raise InvariantViolation(f"subdivision failed verification: {report.violations}")
-
-
-def _constant_size_minor_fallback(g, sub, t, delta) -> Optional[MinorModel]:
-    """Minor-or-subdivision mode: build a complete-minor witness in the small
-    extracted graph when the subdivision machinery does not fit there."""
-    h = sub.graph
-    if h.n < t or h.n < 3:
-        return None
-    mparams = ExpansionParams.for_minor(t=t, delta=delta, ambient_n=max(h.n, 3))
-    try:
-        local = build_small_minor(h, t, derived_scales(h.n, mparams), mparams)
-    except (ConstructionStalled, ValueError):
-        return None
     model = local.remap(sub.new_to_old)
-    report = verify_minor_model(g, model)
-    if not report.valid:
-        raise InvariantViolation(f"fallback minor failed verification: {report.violations}")
-    return model
+    verify_subdivision(g, model).certify("subdivision failed verification")
+    if units is not None:
+        units = [u.remap(sub.new_to_old) for u in units]
+    return PipelineResult("subdivision", model=model, units=units, route=route, **common)
+

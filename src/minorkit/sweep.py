@@ -116,21 +116,10 @@ def run_one(
     )
     if mode == "minor":
         res = find_minor_pipeline(g, t, epsilon, stop_floor=stop_floor, budget_ops=budget_ops)
-        model = res.model
-        verifier = verify_minor_model
-        witness_kind = "minor"
     else:
         res = find_subdivision_pipeline(
             g, t, epsilon, mode=mode, stop_floor=stop_floor, budget_ops=budget_ops
         )
-        if res.minor_model is not None:
-            model = res.minor_model
-            verifier = verify_minor_model
-            witness_kind = "minor"
-        else:
-            model = res.model
-            verifier = verify_subdivision
-            witness_kind = "subdivision"
     record.runtime_ms = (time.perf_counter() - start) * 1000.0
     record.detail = res.detail
     if res.params is not None:
@@ -142,10 +131,12 @@ def run_one(
         record.k = res.scales.k
     if res.extraction is not None:
         record.search_budget_exhausted = res.extraction.search_budget_exhausted
+    model = res.model
     if model is not None:
+        verifier = verify_minor_model if res.outcome == "minor" else verify_subdivision
         report = verifier(g, model)
         if report.valid:
-            record.outcome = witness_kind
+            record.outcome = res.outcome
             record.verifier_valid = True
             record.witness_size = model.total_vertices
             if record.log_n > 0:

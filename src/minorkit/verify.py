@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .errors import InvariantViolation
 from .expansion import DerivedScales, size_cap, small_set_rate, small_size_cap
 from .graph import Graph, eccentricity_within, is_connected_set, neighborhood
 from .witnesses import MinorModel, SubdivisionModel, Unit
@@ -33,6 +34,12 @@ class VerificationReport:
     def add(self, rule: str, witness: str):
         self.violations.append((rule, witness))
         self.valid = False
+
+    def certify(self, what: str) -> None:
+        """Raise InvariantViolation ``"<what>: <violations>"`` unless valid:
+        a builder's own witness that fails its check is a bug."""
+        if not self.valid:
+            raise InvariantViolation(f"{what}: {self.violations}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -16,7 +16,14 @@ import json
 import sys
 from pathlib import Path
 
-from minorkit import GeneratorSpec, find_minor_pipeline, find_subdivision_pipeline, generate
+from minorkit import (
+    GeneratorSpec,
+    MinorModel,
+    SubdivisionModel,
+    find_minor_pipeline,
+    find_subdivision_pipeline,
+    generate,
+)
 
 GOLDEN = Path(__file__).with_name("fingerprints.json")
 
@@ -47,25 +54,33 @@ def spec_key(spec) -> str:
     return f"{mode} t={t} {family}(n={n},param={param},blobs={blobs},seed={seed})"
 
 
-def fingerprint(spec) -> dict:
-    mode, t, family, n, param, blobs, seed = spec
-    g = generate(
+def graph_of(spec):
+    _mode, _t, family, n, param, blobs, seed = spec
+    return generate(
         GeneratorSpec(family=family, n=n, param=param, blob_count=blobs, seed=seed),
         with_girth=False,
     ).graph
+
+
+def run_spec(spec):
+    """The spec's pipeline result."""
+    mode, t = spec[:2]
+    g = graph_of(spec)
     if mode == "minor":
-        res = find_minor_pipeline(g, t, 1.0)
-        witness = res.model
-    else:
-        res = find_subdivision_pipeline(g, t, 1.0, mode=mode)
-        witness = res.model if res.model is not None else res.minor_model
+        return find_minor_pipeline(g, t, 1.0)
+    return find_subdivision_pipeline(g, t, 1.0, mode=mode)
+
+
+def fingerprint(spec) -> dict:
+    res = run_spec(spec)
+    witness = res.model
     canonical = json.dumps(
         witness.to_json_dict() if witness is not None else None,
         sort_keys=True, separators=(",", ":"),
     )
     return {
         "outcome": res.outcome,
-        "route": getattr(res, "route", None),
+        "route": res.route,
         "total_vertices": witness.total_vertices if witness is not None else None,
         "witness_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "trace_length": len(res.extraction.trace),
@@ -83,6 +98,15 @@ def test_golden_fingerprints():
     assert sorted(computed) == sorted(stored)
     changed = [key for key in computed if computed[key] != stored[key]]
     assert not changed, {key: (stored[key], computed[key]) for key in changed}
+
+
+def test_model_is_the_certified_witness_of_the_outcome():
+    # both pipelines put their witness, a fallback minor included, in model
+    for spec in SPECS:
+        res = run_spec(spec)
+        assert (res.model is not None) == (res.outcome in ("minor", "subdivision")), spec
+        assert isinstance(res.model, MinorModel) == (res.outcome == "minor"), spec
+        assert isinstance(res.model, SubdivisionModel) == (res.outcome == "subdivision"), spec
 
 
 if __name__ == "__main__":

@@ -178,3 +178,32 @@ def test_sparse_direct_route_is_traced(tracer_module):
     summary = tracer.summary()
     for layer in ("subdivision.split", "subdivision.units_sparse", "graph.bfs_parents"):
         assert summary.get(layer, {}).get("calls", 0) > 0, f"no {layer} span"
+
+
+# (verify.certify, expansion.extract, minor.build) calls per golden spec,
+# by its (outcome, route): a certify, extract or build call moved out of the
+# patched namespaces zeroes the benchmark's layer without failing elsewhere
+SPAN_COUNTS = {
+    ("minor", None): (2, 1, 1),
+    ("handoff", None): (0, 1, 0),
+    ("handoff", ""): (0, 1, 0),
+    ("subdivision", "dense"): (6, 1, 0),
+    ("subdivision", "sparse-direct"): (2, 1, 0),
+    ("subdivision", "sparse"): (7, 1, 0),
+    ("minor", "minor-fallback"): (2, 1, 1),
+}
+
+
+def test_golden_specs_keep_their_span_counts(tracer_module):
+    golden = load_file("golden_specs", GOLDEN_PATH)
+    for spec in golden.SPECS:
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            res = golden.run_spec(spec)
+        finally:
+            tracer.uninstall()
+        summary = tracer.summary()
+        counts = tuple(summary.get(layer, {}).get("calls", 0)
+                       for layer in ("verify.certify", "expansion.extract", "minor.build"))
+        assert counts == SPAN_COUNTS[(res.outcome, res.route)], spec

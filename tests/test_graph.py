@@ -470,11 +470,29 @@ class TestParsing:
         except ValueError as exc:
             with pytest.raises(ValueError) as raised:
                 parse_graph_text(text)
-            assert str(raised.value) == str(exc)  # the same first bad line
+            expected = str(exc)  # the same first bad line
+            # the loop named an id outside 1..n as the 0-based Graph edge it
+            # had made of it; the reader names it as the file has it
+            graph_error = expected.startswith(("edge (", "self-loop at"))
+            outside = first_dimacs_id_outside(text, 8) if dimacs and graph_error else None
+            if outside:
+                expected = f"DIMACS vertex id {outside[0]} outside 1..8 in line {outside[1]!r}"
+            assert str(raised.value) == expected
         else:
             g = parse_graph_text(text)
             assert g.n == reference.n
             assert_csr_equal(g, reference._indptr, reference._indices)
+
+    @pytest.mark.parametrize("text,named", [
+        ("p edge 3 1\ne -9223372036854775808 1\n", "-9223372036854775808 outside 1..3 in line 'e -9223372036854775808 1'"),
+        ("p edge 3 1\ne 0 1\n", "0 outside 1..3 in line 'e 0 1'"),
+        ("p edge 3 1\ne 1 5\n", "5 outside 1..3 in line 'e 1 5'"),
+        ("p edge 3 2\ne 1 2\n  e 3  +04\n", "+04 outside 1..3 in line 'e 3  +04'"),
+    ])
+    def test_dimacs_id_outside_range_is_named_as_written(self, text, named):
+        with pytest.raises(ValueError) as err:
+            parse_graph_text(text)
+        assert str(err.value) == f"DIMACS vertex id {named}"
 
     @pytest.mark.parametrize("text", ["p edge 3 1\ne 1\n", "p edge 3 1\ne\n"])
     def test_truncated_dimacs_edge_line_is_named(self, text):
@@ -504,6 +522,17 @@ class TestParsing:
 
 # the per-line loop that the array reader replaced, kept as its reference
 # (a truncated DIMACS edge line raised IndexError here)
+def first_dimacs_id_outside(text, n):
+    """``(token, line)`` of the first DIMACS edge id outside ``1..n``, or None."""
+    for ln in map(str.strip, text.splitlines()):
+        parts = ln.split()
+        if parts[:1] == ["e"]:
+            for tok in parts[1:3]:
+                if not 1 <= int(tok) <= n:
+                    return tok, ln
+    return None
+
+
 def parse_graph_text_reference(text):
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith(("#", "c ")) and ln != "c"]

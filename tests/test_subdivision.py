@@ -38,6 +38,7 @@ from minorkit.subdivision import (
     _rest_max_degree,
     _sparse_p_step,
     log2m,
+    unit_set_size,
 )
 
 from conftest import blobs, complete_graph, gnp, regular, star_graph
@@ -319,6 +320,30 @@ class TestDenseUnits:
             build_units_dense(g, split, 3, derived_scales(g.n, p), p, max_units=1)
         assert_hub_stall(err, 1, 1, 4)
 
+    @pytest.mark.parametrize("sigma,built", [(0.6, 2), (0.65, 0)])
+    def test_star_extension_keeps_sets_disjoint(self, sigma, built):
+        # sigma this large asks for sets above the star size, so each star is
+        # extended by ball growth, which must stay clear of every other live
+        # star and not only of the earlier extensions
+        g = gnp(1000, 400, seed=1)
+        split = split_by_degree(g, 1 / 300, min_stars=18)
+        p = ExpansionParams(delta=0.3, eta=1 / 2700, ambient_n=g.n, t=3, sigma=sigma)
+        d = derived_scales(g.n, p)
+        size = unit_set_size(g.n, sigma)
+        assert split.kind == CASE_STARS and size > split.threshold + 1
+        if not built:
+            with pytest.raises(ConstructionStalled):
+                build_units_dense(g, split, 3, d, p, max_units=2)
+            return
+        units = build_units_dense(g, split, 3, d, p, max_units=2)
+        assert len(units) == built
+        seen = set()
+        for u in units:
+            assert verify_unit(g, u, d).valid
+            assert [len(s) for s in u.sets] == [size] * 3
+            assert not (seen & u.vertices())
+            seen |= u.vertices()
+
     def test_wrong_split_kind_rejected(self):
         g = regular(64, 3, seed=1)
         split = split_by_degree(g, sigma=1 / 300)
@@ -471,6 +496,17 @@ class TestConnectUnits:
         with pytest.raises(ValueError, match="at least"):
             connect_units(g, units[:2], 3, d, p)
 
+    def test_state_drops_paths_by_the_index_ending_their_key(self):
+        # unit rounds key paths (round, idx), the connection (alpha, beta, unit)
+        path = Path((0, 1))
+        state = _ConnectState(indices=[0, 1, 2, 3])
+        state.paths = {(1, 3): path, (1, 2): path, (1, 2, 0): path, (2, 1, 3): path}
+        state.qpaths = {(1, 0): path, (2, 1): path}
+        state.drop_to([3, 0])
+        assert state.indices == [0, 3]
+        assert list(state.paths) == [(1, 3), (1, 2, 0), (2, 1, 3)]
+        assert list(state.qpaths) == [(1, 0)]
+
     def test_non_disjoint_units_rejected(self):
         g, p, d, units = self._units(t=3, count=5)
         with pytest.raises(ValueError, match="disjoint"):
@@ -493,7 +529,7 @@ class TestSubdivisionPipeline:
         res = find_subdivision_pipeline(g, 3, epsilon=1.0, mode="minor_or_subdivision")
         assert res.outcome in ("subdivision", "minor", "handoff")
         if res.outcome == "minor":
-            assert verify_minor_model(g, res.minor_model).valid
+            assert verify_minor_model(g, res.model).valid
         elif res.outcome == "subdivision":
             assert verify_subdivision(g, res.model).valid
         else:
@@ -502,7 +538,7 @@ class TestSubdivisionPipeline:
     def test_plain_mode_never_emits_minor_fallback(self):
         g = blobs(200, 0.8, 5, seed=2)
         res = find_subdivision_pipeline(g, 3, epsilon=1.0, mode="subdivision")
-        assert res.minor_model is None
+        assert res.outcome != "minor"  # the minor fallback did not fire
         assert res.outcome in ("subdivision", "handoff", "stalled")
 
     def test_too_few_units_falls_back_to_minor(self):
@@ -512,7 +548,7 @@ class TestSubdivisionPipeline:
         g = gnp(1000, 400, seed=1)
         res = find_subdivision_pipeline(g, 3, epsilon=1.0, mode="minor_or_subdivision", max_units=3)
         assert (res.outcome, res.route) == ("minor", "minor-fallback")
-        assert verify_minor_model(g, res.minor_model).valid
+        assert verify_minor_model(g, res.model).valid
         assert res.diagnostics == {"units": 3, "needed": 4}
 
     def test_fallback_keeps_the_unit_stall_diagnostics(self):
@@ -537,7 +573,7 @@ class TestSubdivisionPipeline:
         g = gnp(1000, 400, seed=1)
         res = find_subdivision_pipeline(g, 3, epsilon=1.0, max_units=3)
         assert (res.outcome, res.route) == ("stalled", "dense")
-        assert res.minor_model is None
+        assert res.outcome != "minor"  # the minor fallback did not fire
         assert "only 3 units built" in res.detail
 
     def test_t2_yields_path(self):

@@ -9,9 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from minorkit import GeneratorSpec, InvariantViolation, VerificationReport, cli, sweep
+from minorkit import (
+    GeneratorSpec,
+    Graph,
+    InvariantViolation,
+    VerificationReport,
+    cli,
+    find_minor_pipeline,
+    find_subdivision_pipeline,
+    sweep,
+)
 from minorkit.cli import main
-from minorkit.graph import to_edge_list_text
+from minorkit.graph import load_graph, to_edge_list_text
 from minorkit.sweep import (
     CSV_COLUMNS,
     run_experiment_sweep,
@@ -20,7 +29,7 @@ from minorkit.sweep import (
     write_records_json,
 )
 
-from conftest import gnp, petersen_graph, random_tree
+from conftest import blobs, gnp, petersen_graph, random_tree
 
 
 class TestSweep:
@@ -288,6 +297,51 @@ class TestCli:
             main(["sweep", "--t", "bad"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("command", ["find-minor", "find-subdivision"])
+    @pytest.mark.parametrize("t,epsilon,flag", [
+        ("0", "1", "--t"), ("-2", "1", "--t"),
+        ("3", "0", "--epsilon"), ("3", "-1", "--epsilon"), ("3", "nan", "--epsilon"),
+    ])
+    def test_bad_t_or_epsilon_exits_one(self, graph_file, capsys, command, t, epsilon, flag):
+        # rejected while parsing, before the graph is read or a pipeline runs
+        with pytest.raises(SystemExit) as err:
+            main([command, "--input", str(graph_file), "--t", t, "--epsilon", epsilon])
+        assert err.value.code == 1
+        bad = t if flag == "--t" else epsilon
+        err_text = capsys.readouterr().err
+        assert f"error: argument {flag}: must be > 0, got {bad}\n" in err_text
+        assert "Traceback" not in err_text
+
+    def test_find_minor_payload_keys(self, graph_file, tmp_path):
+        # the minor pipeline has no route, so find-minor prints no route key
+        out = tmp_path / "m.json"
+        assert main(["find-minor", "--input", str(graph_file), "--t", "4", "--json-out", str(out)]) == 0
+        assert list(json.loads(out.read_text())) == ["outcome", "detail", "diagnostics", "witness_size",
+                                                      "brute_force_answer", "witness"]
+
+    def test_find_subdivision_writes_the_fallback_minor(self, tmp_path, capsys):
+        # the golden minor-fallback spec: --json-out carries the minor itself
+        path = tmp_path / "blobs.txt"
+        path.write_text(to_edge_list_text(blobs(600, 0.6, 3, seed=7)))
+        out = tmp_path / "fallback.json"
+        assert main([
+            "find-subdivision", "--input", str(path), "--t", "3",
+            "--mode", "minor_or_subdivision", "--json-out", str(out),
+        ]) == 0
+        payload = json.loads(out.read_text())
+        assert list(payload) == ["outcome", "route", "detail", "diagnostics", "witness_size",
+                                 "brute_force_answer", "witness"]
+        assert (payload["outcome"], payload["route"]) == ("minor", "minor-fallback")
+        res = find_subdivision_pipeline(load_graph(path), 3, 1.0, mode="minor_or_subdivision")
+        assert payload["witness"] == json.loads(json.dumps(res.model.to_json_dict()))
+        assert "branch_sets" in payload["witness"]
+        assert payload["witness_size"] == res.model.total_vertices
+        printed = json.loads(capsys.readouterr().out)
+        assert list(printed) == list(payload)[:-1]
+        witness = tmp_path / "minor.json"
+        witness.write_text(json.dumps(payload["witness"]))
+        assert main(["verify", "--input", str(path), "--witness", str(witness)]) == 0
+
     def test_gen_impossible_regular_pairing_exits_one(self, tmp_path):
         # near-complete degrees almost never pair up simply; the retry cap
         # turns an endless loop into a usage error
@@ -307,3 +361,16 @@ class TestCli:
         assert main([
             "find-minor", "--input", str(graph_file), "--t", "3", "--budget-ms", "50",
         ]) in (0, 2)
+
+
+@pytest.mark.parametrize("pipeline", [find_minor_pipeline, find_subdivision_pipeline])
+@pytest.mark.parametrize("t,epsilon,message", [
+    (0, 1.0, "t must be >= 1, got 0"),
+    (3, 0.0, "epsilon must be > 0, got 0.0"),
+    (3, float("nan"), "epsilon must be > 0, got nan"),
+])
+def test_pipelines_reject_bad_t_or_epsilon_first(pipeline, t, epsilon, message):
+    # checked before any work: an empty graph would otherwise be named first
+    with pytest.raises(ValueError) as err:
+        pipeline(Graph(0), t, epsilon)
+    assert str(err.value) == message
