@@ -14,7 +14,6 @@ from .expansion import (
     expansion_function_f,
     extract_expander,
     find_violating_set,
-    grow_ball_guaranteed,
 )
 from .generate import GeneratedGraph, GeneratorSpec, generate, girth
 from .graph import (
@@ -22,13 +21,10 @@ from .graph import (
     InducedSubgraph,
     Path,
     average_degree,
-    ball,
-    consecutive_shortest_paths,
     induced_subgraph,
     load_graph,
     neighborhood,
     parse_graph_text,
-    set_radius_center,
 )
 from .minor import (
     MinorModel,
@@ -47,7 +43,6 @@ from .subdivision import (
     build_units_sparse,
     connect_units,
     find_subdivision_pipeline,
-    grow_corner_ball,
     kt_edge_coloring,
     split_by_degree,
 )

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from functools import partial
 
 from .errors import InvariantViolation
 from .expansion import (
@@ -113,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_io(p)
     p.add_argument("--t", type=_positive(int), required=True)
     p.add_argument("--epsilon", type=_positive(float), default=1.0)
-    p.add_argument("--density-target", type=float, default=None)
+    p.add_argument("--density-target", type=_positive(float), default=None)
     p.add_argument("--trace", action="store_true",
                    help="include the extraction step trace in JSON output")
 
@@ -287,22 +288,26 @@ def _cmd_verify(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read witness: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if "branch_sets" in data:
-        report = verify_minor_model(g, MinorModel.from_json_dict(data))
-        kind = "minor"
-    elif "corners" in data:
-        report = verify_subdivision(g, SubdivisionModel.from_json_dict(data))
-        kind = "subdivision"
-    elif "spokes" in data:
-        unit = Unit.from_json_dict(data)
-        params = ExpansionParams.for_subdivision(
-            t=max(2, unit.t), delta=args.delta, ambient_n=g.n
-        )
-        report = verify_unit(g, unit, derived_scales(g.n, params))
-        kind = "unit"
-    else:
-        print("error: unrecognized witness JSON (no branch_sets/corners/spokes)", file=sys.stderr)
+    try:
+        if "branch_sets" in data:
+            kind, check = "minor", partial(verify_minor_model, g, MinorModel.from_json_dict(data))
+        elif "corners" in data:
+            kind, check = "subdivision", partial(
+                verify_subdivision, g, SubdivisionModel.from_json_dict(data))
+        elif "spokes" in data:
+            unit = Unit.from_json_dict(data)
+            params = ExpansionParams.for_subdivision(
+                t=max(2, unit.t), delta=args.delta, ambient_n=g.n
+            )
+            kind, check = "unit", partial(verify_unit, g, unit, derived_scales(g.n, params))
+        else:
+            print("error: unrecognized witness JSON (no branch_sets/corners/spokes)",
+                  file=sys.stderr)
+            return EXIT_USAGE
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        print(f"error: bad witness: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    report = check()
     payload = {"kind": kind, **report.to_json_dict()}
     print(json.dumps(payload))
     if args.json_out:

@@ -1,4 +1,4 @@
-"""Expansion rates, expander extraction, and guaranteed ball growth.
+"""Expansion rates and expander extraction.
 
 The central objects are:
 
@@ -21,7 +21,6 @@ counted in work units, not wall-clock time.
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,8 +39,6 @@ from .graph import (
     induced_subgraph,
 )
 
-log = logging.getLogger(__name__)
-
 MODE_PLAIN = "plain_expander"
 MODE_SMALL_SET = "small_set_expander"
 MODE_BELOW_THRESHOLD = "below_threshold"
@@ -56,18 +53,13 @@ _EXHAUSTIVE_LIMIT = 18
 
 @dataclass(frozen=True)
 class ExpansionParams:
-    """Scalar parameters of a run.
-
-    ``lam`` is the effective expansion rate used for radius budgets; when
-    None it defaults to the rate function value f(m) of the graph at hand.
-    """
+    """Scalar parameters of a run."""
 
     delta: float
     eta: float
     ambient_n: int
     t: int = 1
     sigma: float = 0.0
-    lam: Optional[float] = None
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
@@ -592,44 +584,3 @@ def extract_expander(
     if sub.graph.n > 1 and 2 * sub.graph.min_degree() < achieved:
         raise InvariantViolation("extraction stopped with min degree below half average")
     return result
-
-
-# -- guaranteed ball growth ----------------------------------------------------
-
-
-def grow_ball_guaranteed(
-    h: Graph,
-    s,
-    w,
-    d: DerivedScales,
-    p: ExpansionParams,
-) -> tuple:
-    """Grow the ball around ``s`` in ``h - w`` until it has m^(1-eta) vertices.
-
-    Uses the radius budget k = ceil((4/lambda) log m) with lambda = p.lam or
-    f(m).  Returns ``(ball, steps)``.  When |w| > lambda |s| / 2 the growth
-    guarantee lapses; that is logged as a warning, not raised.
-    """
-    s = {int(v) for v in s}
-    w = {int(v) for v in w}
-    if not s:
-        raise ValueError("empty seed set")
-    if s & w:
-        raise ValueError("seed set and forbidden set overlap")
-    lam = p.lam if p.lam is not None else d.f_m
-    if len(w) > lam * len(s) / 2.0:
-        log.warning(
-            "forbidden set too large for the growth guarantee: |W|=%d > lam|S|/2=%.3f",
-            len(w), lam * len(s) / 2.0,
-        )
-    k = math.ceil(4.0 * math.log(d.m) / lam)
-    target = size_cap(d.m, p.eta)
-    levels = bfs_levels(h, s, avoid=w, radius=k, stop_size=target)
-    reached = np.flatnonzero(levels >= 0)
-    steps = int(levels[reached].max()) if len(reached) else 0
-    ball_set = frozenset(int(v) for v in reached)
-    if len(ball_set) < target:
-        log.info(
-            "ball growth fell short: |B^%d| = %d < m^(1-eta) = %d", steps, len(ball_set), target
-        )
-    return ball_set, steps

@@ -1,4 +1,4 @@
-"""Immutable simple undirected graphs and the primitive set/ball/path operations.
+"""Immutable simple undirected graphs and the primitive set/BFS/path operations.
 
 Vertices are dense integer ids ``0..n-1``.  ``Graph(n, edges)``, the one
 constructor, takes an ``(m, 2)`` integer array or any iterable of pairs and
@@ -127,17 +127,11 @@ class Graph:
         i = int(np.searchsorted(row, v))
         return i < len(row) and int(row[i]) == v
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self):
         """Iterate edges as (u, v) with u < v, in lexicographic order."""
         u = np.repeat(np.arange(self.n), self.degrees())
         up = u < self._indices
         return zip(u[up].tolist(), self._indices[up].tolist())
-
-    def adjacency_lists(self) -> list:
-        return [list(map(int, self.neighbors(v))) for v in range(self.n)]
 
     def min_degree(self) -> int:
         return int(self.degrees().min()) if self.n else 0
@@ -200,18 +194,6 @@ def neighborhood(g: Graph, s: Iterable[int], avoid: Iterable[int] = ()) -> froze
     for v in s:
         out.update(map(int, g.neighbors(v)))
     return frozenset(out - s - avoid)
-
-
-def ball(g: Graph, s: Iterable[int], radius: int, avoid: Iterable[int] = ()) -> frozenset:
-    """Ball of the given radius around ``s`` in ``g - avoid`` (BFS)."""
-    if radius < 0:
-        raise ValueError("negative radius")
-    s = set(map(int, s))
-    avoid = set(map(int, avoid))
-    if s & avoid:
-        raise ValueError("set and avoid overlap")
-    levels = bfs_levels(g, s, avoid=avoid, radius=radius)
-    return frozenset(int(v) for v in np.flatnonzero(levels >= 0))
 
 
 # -- the BFS kernel -----------------------------------------------------------
@@ -454,62 +436,9 @@ def eccentricity_within(g: Graph, members: Iterable[int], v: int) -> Optional[in
     return int(levels.max())
 
 
-def set_radius_center(g: Graph, s: Iterable[int]) -> tuple:
-    """Center vertex and radius of the induced subgraph G[s].
-
-    Returns ``(v, r)`` where ``v`` minimizes the eccentricity within ``G[s]``
-    and ``r`` is that eccentricity; ties broken by smallest vertex id.
-    Raises if ``G[s]`` is not connected.
-    """
-    s = sorted({int(v) for v in s})
-    if not s:
-        raise ValueError("empty set")
-    best = None
-    for v in s:
-        ecc = eccentricity_within(g, s, v)
-        if ecc is None:
-            raise ValueError("set not connected")
-        if best is None or ecc < best[1]:
-            best = (v, ecc)
-    return best
-
-
 def is_connected_set(g: Graph, s: Iterable[int]) -> bool:
     s = {int(v) for v in s}
     return bool(s) and eccentricity_within(g, s, min(s)) is not None
-
-
-def consecutive_shortest_paths(
-    g: Graph, v: int, domain: Iterable[int], targets: Sequence[int]
-) -> tuple:
-    """Shortest paths from ``v`` to each target, each avoiding all earlier ones.
-
-    Path i is shortest from ``v`` to ``targets[i]`` inside
-    ``domain - (P_1 | ... | P_{i-1}) + v``.  Returns ``(paths, failed_index)``
-    where ``failed_index`` is None when every target was reached, else the
-    index of the first unreachable target (``paths`` then holds the prefix).
-    """
-    v = int(v)
-    domain = {int(x) for x in domain}
-    if v not in domain:
-        raise ValueError("origin not in domain")
-    for t in targets:
-        if int(t) not in domain:
-            raise ValueError(f"target {t} not in domain")
-    used = set()
-    paths = []
-    for i, t in enumerate(targets):
-        t = int(t)
-        allowed = (domain - used) | {v}
-        if t not in allowed:
-            return paths, i
-        levels, parents = bfs_parents(g, [v], target=t, allowed=allowed)
-        if levels[t] < 0:
-            return paths, i
-        p = Path(tuple(trace_path(parents, t)))
-        paths.append(p)
-        used.update(p.vertices)
-    return paths, None
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> InducedSubgraph:

@@ -35,7 +35,7 @@ from .expansion import (
     extract_expander,
     size_cap,
 )
-from .graph import Graph, Path, _mask, average_degree, bfs_levels, reached_in_order
+from .graph import Graph, Path, average_degree, bfs_levels, reached_in_order
 from .routing import (
     backtrack_chain,
     entry_path,
@@ -87,7 +87,6 @@ def find_nice_sets(
     size: int,
     d: DerivedScales,
     p: ExpansionParams,
-    forbidden=(),
 ) -> list:
     """Harvest up to ``count`` disjoint size-``size`` sets of radius <= k.
 
@@ -100,12 +99,10 @@ def find_nice_sets(
     if size < 1 or count < 1:
         raise ValueError("count and size must be positive")
     m = h.n
-    free = ~_mask(m, forbidden)
+    free = np.ones(m, dtype=bool)
     probe_size = max(1, math.floor(m ** 0.625))
     out = []
     while len(out) < count:
-        if not out and np.count_nonzero(free) < probe_size:
-            raise ValueError("graph exhausted")
         used = np.flatnonzero(~free)
         found = None
         for v in np.flatnonzero(free)[:probe_size].tolist():
@@ -233,8 +230,6 @@ def build_small_minor(
     t: int,
     d: DerivedScales,
     p: ExpansionParams,
-    count: Optional[int] = None,
-    set_size: Optional[int] = None,
 ) -> MinorModel:
     """Build a verified complete-minor witness on t branch sets inside ``h``.
 
@@ -252,12 +247,10 @@ def build_small_minor(
         verify_minor_model(h, model).certify("built minor model failed verification")
         return model
 
-    if set_size is None:
-        set_size = max(1, math.floor(m ** 0.25))
-    if count is None:
-        count = max(math.floor(m ** 0.25), 4 * (t + 1))
-        count = min(count, max(t + 1, m // (2 * set_size)))
-    sets = find_nice_sets(h, count, set_size, d, p, forbidden=())
+    set_size = max(1, math.floor(m ** 0.25))
+    count = max(math.floor(m ** 0.25), 4 * (t + 1))
+    count = min(count, max(t + 1, m // (2 * set_size)))
+    sets = find_nice_sets(h, count, set_size, d, p)
     if len(sets) < t + 1:
         raise ConstructionStalled(
             f"only {len(sets)} nice sets of size {set_size} available, need {t + 1}",
@@ -445,7 +438,8 @@ def find_minor_pipeline(
     """End-to-end: extract an expander, build a K_t-minor witness, certify it.
 
     delta is set to epsilon / (3 * density_target), capped at 1/2, and eta
-    to 1/8t.  Inputs whose density is below the declared
+    to 1/8t.  A ``density_target`` that is not above 0 (NaN included)
+    raises ValueError before any work.  Inputs whose density is below the declared
     target are processed anyway with a warning; the guarantee simply lapses.
     Below-threshold extractions are handed to the brute-force oracle when
     small enough.
@@ -453,6 +447,8 @@ def find_minor_pipeline(
     check_pipeline_args(g, t, epsilon)
     if density_target is None:
         density_target = minor_density_target(t)
+    elif not density_target > 0:
+        raise ValueError(f"density_target must be > 0, got {density_target}")
     if average_degree(g) < density_target:
         log.warning(
             "input density %.3f below declared target %.3f; proceeding anyway",

@@ -131,38 +131,6 @@ def split_by_degree(h: Graph, sigma: float, min_stars: Optional[int] = None) -> 
     return DegreeSplit(kind=CASE_STARS, stars=tuple(stars), threshold=thr)
 
 
-def grow_corner_ball(
-    h: Graph,
-    v: int,
-    consumed_paths: list,
-    b,
-    d: DerivedScales,
-    p: ExpansionParams,
-) -> frozenset:
-    """Residual ball of radius l around ``v`` avoiding consumed paths and ``b``.
-
-    The consumed paths must all start at ``v`` (they are the corner's own
-    consecutive shortest paths; the stored construction order is checked by
-    the harness).  Reaching log^2 m vertices is the theoretical guarantee;
-    here the ball is simply returned and the caller measures it.
-    """
-    v = int(v)
-    b = {int(u) for u in b}
-    if v in b:
-        raise ValueError("corner vertex inside the avoid set")
-    for path in consumed_paths:
-        if path.start != v:
-            raise ValueError("consumed path does not start at the corner")
-    if len(consumed_paths) > 2 * p.t:
-        log.warning("more consumed paths (%d) than the 2t budget", len(consumed_paths))
-    avoid = set(b)
-    for path in consumed_paths:
-        avoid.update(path.vertices)
-    avoid.discard(v)
-    levels = bfs_levels(h, [v], avoid=avoid, radius=d.l)
-    return frozenset(int(u) for u in np.flatnonzero(levels >= 0))
-
-
 # -- edge coloring --------------------------------------------------------------
 
 
@@ -207,20 +175,28 @@ def build_units_dense(
     d: DerivedScales,
     p: ExpansionParams,
     max_units: Optional[int] = None,
-    forbidden=(),
 ) -> list:
-    """Build disjoint units around star centers (many-high-degrees case)."""
+    """Build disjoint units around star centers (many-high-degrees case).
+
+    Each unit set is trimmed out of one star, so a set size
+    ``floor(m^sigma)`` above the star size ``threshold + 1`` is rejected.
+    """
     if split.kind != CASE_STARS:
         raise ValueError("dense unit builder needs a star split")
     if t < 1:
         raise ValueError("t must be >= 1")
     m = h.n
+    set_size = unit_set_size(m, p.sigma)
+    if set_size > split.threshold + 1:
+        raise ValueError(
+            f"unit sets of {set_size} vertices exceed the star size {split.threshold + 1}"
+        )
     target = max_units if max_units is not None else max(1, math.floor(m ** p.sigma))
     units = []
-    w0 = {int(v) for v in forbidden}
+    w0 = set()
     while len(units) < target:
         try:
-            unit = _one_dense_unit(h, split, t, d, p, w0)
+            unit = _one_dense_unit(h, split, t, d, p, w0, set_size)
         except ConstructionStalled:
             if units:
                 break
@@ -230,7 +206,7 @@ def build_units_dense(
     return units
 
 
-def _one_dense_unit(h, split, t, d, p, w0) -> Unit:
+def _one_dense_unit(h, split, t, d, p, w0, set_size) -> Unit:
     m = h.n
     live = [(c, s) for c, s in split.stars if not (({c} | s) & w0)]
     n_sets = max(math.floor(m ** (4.0 * p.sigma)), 4 * (t + 1))
@@ -243,30 +219,10 @@ def _one_dense_unit(h, split, t, d, p, w0) -> Unit:
     live = live[: max(n_sets, t + 1)]
     centers = {i: c for i, (c, _s) in enumerate(live)}
     star_sets = {i: (frozenset(s) | {c}) for i, (c, s) in enumerate(live)}
-    work_sets = dict(star_sets)
-
-    set_size = unit_set_size(m, p.sigma)
-    thr = split.threshold
-    if set_size > thr + 1:
-        # only at astronomical m: extend each star by ball growth to m^sigma,
-        # clear of every other live star and of the earlier extensions
-        used = set(w0).union(*star_sets.values())
-        extended = {}
-        for i in sorted(work_sets):
-            lv = bfs_levels(h, [centers[i]], avoid=used - star_sets[i], radius=d.k,
-                            stop_size=set_size)
-            reached = frozenset(int(u) for u in np.flatnonzero(lv >= 0))
-            if len(reached) < set_size:
-                continue
-            ext = trim_to_size(h, reached, centers[i], set_size)
-            extended[i] = ext | star_sets[i]
-            used |= extended[i]
-        work_sets = extended
-
-    state = _ConnectState(indices=sorted(work_sets))
+    state = _ConnectState(indices=sorted(star_sets))
     for round_no in range(1, t + 1):
-        _dense_round(h, t, d, p, w0, centers, star_sets, work_sets, state, round_no)
-    return _assemble_unit(h, t, d, p, state, centers, work_sets, set_size)
+        _dense_round(h, t, d, p, w0, centers, star_sets, state, round_no)
+    return _assemble_unit(h, t, d, p, state, centers, star_sets, set_size)
 
 
 @dataclass
@@ -296,7 +252,7 @@ class _ConnectState:
         self.qpaths = {k: v for k, v in self.qpaths.items() if k[-1] in keep}
 
 
-def _dense_round(h, t, d, p, w0, centers, star_sets, work_sets, state, round_no):
+def _dense_round(h, t, d, p, w0, centers, star_sets, state, round_no):
     # a stored path meets no other surviving star, so only the own centers
     # of the survivors come back out of the avoid set
     avoid = state.used(w0) - {centers[i] for i in state.indices}
@@ -310,7 +266,7 @@ def _dense_round(h, t, d, p, w0, centers, star_sets, work_sets, state, round_no)
         chain = backtrack_chain(h, fam.levels[i], hub)
         return Path(tuple(chain) if chain[0] == centers[i] else (centers[i],) + tuple(chain))
 
-    kept = route_and_prune(round_no, hub, covered, fam, t + 1, route, work_sets, 2 * d.k + 2)
+    kept = route_and_prune(round_no, hub, covered, fam, t + 1, route, star_sets, 2 * d.k + 2)
     for i, path in kept.items():
         state.paths[(round_no, i)] = path
     state.drop_to(kept)
@@ -648,7 +604,6 @@ def connect_units(
     t: int,
     d: DerivedScales,
     p: ExpansionParams,
-    min_units: Optional[int] = None,
 ) -> SubdivisionModel:
     """Join unit corners pairwise into a verified complete subdivision.
 
@@ -658,9 +613,8 @@ def connect_units(
     are wired through the proper edge coloring so each spoke/hub path is used
     by exactly one pair.
     """
-    minimum = max(t, min_units if min_units is not None else t + 1)
-    if len(units) < minimum:
-        raise ValueError(f"need at least {minimum} units, got {len(units)}")
+    if len(units) < t + 1:
+        raise ValueError(f"need at least {t + 1} units, got {len(units)}")
     for u in units:
         if u.t < t:
             raise ValueError("unit has fewer spokes than requested t")
@@ -742,10 +696,8 @@ def _route_unit_hub_path(h, units, trimmed, fam, i, alpha, hub, taken, avoid_ext
             path = Path(verts)
             if path.length <= 2 * d.k:
                 return path
-    avoid = set(avoid_extra) | (taken - {hub})
-    avoid.discard(center)
-    allowed_avoid = avoid - set(own)
-    lv, pr = bfs_parents(h, [center], avoid=allowed_avoid | (taken - {hub}), target=hub)
+    avoid = (set(avoid_extra) - own) | (taken - {hub})
+    lv, pr = bfs_parents(h, [center], avoid=avoid, target=hub)
     if lv[hub] < 0:
         return None
     path = Path(tuple(trace_path(pr, hub)))

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .generate import GeneratedGraph, GeneratorSpec, generate
+from .generate import GeneratorSpec, generate
 from .minor import find_minor_pipeline
 from .subdivision import (
     MODE_MINOR_OR_SUBDIVISION,
@@ -103,12 +103,10 @@ def run_one(
     stop_floor: int = 32,
     budget_ops: Optional[int] = None,
     keep_witness: bool = False,
-    prebuilt: Optional[GeneratedGraph] = None,
 ) -> ExperimentRecord:
     if mode not in SWEEP_MODES:
         raise ValueError(f"unknown sweep mode {mode!r}")
-    built = prebuilt if prebuilt is not None else generate(spec, with_girth=False)
-    g = built.graph
+    g = generate(spec, with_girth=False).graph
     start = time.perf_counter()
     record = ExperimentRecord(
         spec=spec, t=t, epsilon=epsilon, mode=mode, outcome="stalled",

@@ -1,4 +1,4 @@
-"""Expansion rates, the density dichotomy, extraction, and ball growth."""
+"""Expansion rates, the density dichotomy, and extraction."""
 
 import math
 import random
@@ -21,7 +21,6 @@ from minorkit import (
     expansion_function_f,
     extract_expander,
     find_violating_set,
-    grow_ball_guaranteed,
     induced_subgraph,
     neighborhood,
 )
@@ -40,11 +39,11 @@ from minorkit.expansion import (
 )
 from minorkit.graph import bfs_levels
 
-from conftest import complete_graph, gnp, petersen_graph, two_cliques_bridge
+from conftest import complete_graph, gnp, two_cliques_bridge
 
 
-def params(delta=0.1, eta=1 / 8, n=1000, t=1, lam=None):
-    return ExpansionParams(delta=delta, eta=eta, ambient_n=n, t=t, lam=lam)
+def params(delta=0.1, eta=1 / 8, n=1000, t=1):
+    return ExpansionParams(delta=delta, eta=eta, ambient_n=n, t=t)
 
 
 class TestRateFunction:
@@ -434,67 +433,6 @@ class TestExtractExpander:
     def test_empty_graph_errors(self):
         with pytest.raises(ValueError):
             extract_expander(Graph(0), params())
-
-
-class TestGrowBall:
-    def test_whole_graph_needs_zero_steps(self):
-        g = petersen_graph()
-        p = params(eta=1 / 8, n=10)
-        d = derived_scales(10, p)
-        ball_set, steps = grow_ball_guaranteed(g, set(range(10)), set(), d, p)
-        assert steps == 0
-        assert ball_set == frozenset(range(10))
-
-    def test_complete_graph_one_step(self):
-        g = complete_graph(9)
-        p = params(eta=1 / 8, n=9, lam=1.0)
-        d = derived_scales(9, p)
-        ball_set, steps = grow_ball_guaranteed(g, {0}, set(), d, p)
-        # floor(9^(7/8)) = 6 and the first layer already reaches all 9
-        assert steps == 1
-        assert len(ball_set) == 9
-
-    def test_growth_factor_on_verified_expander(self):
-        # take lam = the exhaustively measured worst ratio, at which K_9
-        # genuinely is a (lam, 1/8)-expander, then check the growth factor
-        from minorkit import brute_force_expander_check
-
-        g = complete_graph(9)
-        _, _, worst = brute_force_expander_check(g, 1e-9, 1 / 8)
-        lam = worst
-        ok, _, _ = brute_force_expander_check(g, lam, 1 / 8)
-        assert ok
-        p = params(eta=1 / 8, n=9, lam=lam)
-        d = derived_scales(9, p)
-        target = math.floor(9 ** (1 - 1 / 8))
-        seed = {0}
-        w = set()
-        prev = len(seed)
-        cur = seed
-        from minorkit import ball as ball_op
-
-        for j in range(1, d.k + 1):
-            cur = ball_op(g, seed, j, avoid=w)
-            if prev >= target:
-                break
-            assert len(cur) >= (1 + lam / 2) * prev
-            prev = len(cur)
-
-    def test_empty_seed_errors(self):
-        g = complete_graph(4)
-        p = params(n=4)
-        with pytest.raises(ValueError):
-            grow_ball_guaranteed(g, set(), set(), derived_scales(4, p), p)
-
-    def test_large_forbidden_set_warns_not_raises(self, caplog):
-        g = complete_graph(9)
-        p = params(eta=1 / 8, n=9, lam=0.1)
-        d = derived_scales(9, p)
-        import logging
-
-        with caplog.at_level(logging.WARNING, logger="minorkit.expansion"):
-            grow_ball_guaranteed(g, {0}, {1, 2, 3}, d, p)
-        assert any("guarantee" in rec.message for rec in caplog.records)
 
 
 class TestTraceOutput:

@@ -13,18 +13,16 @@ from minorkit import (
     Graph,
     Path,
     average_degree,
-    ball,
-    consecutive_shortest_paths,
     induced_subgraph,
     neighborhood,
     parse_graph_text,
-    set_radius_center,
 )
 from minorkit.graph import (
     _mask,
     bfs_layer_sizes,
     bfs_levels,
     bfs_parents,
+    eccentricity_within,
     exit_map,
     first_exit,
     first_exit_on_map,
@@ -33,10 +31,10 @@ from minorkit.graph import (
     trace_path,
 )
 
-from conftest import complete_graph, cycle_graph, grid_graph, path_graph, petersen_graph, random_tree, star_graph
+from conftest import complete_graph, cycle_graph, path_graph, petersen_graph, random_tree, star_graph
 
 
-# independent reference BFS used as the oracle for ball/distance checks
+# independent reference BFS used as the oracle for distance checks
 def bfs_oracle(adjacency, sources, banned=frozenset()):
     dist = {}
     dq = deque()
@@ -85,7 +83,7 @@ class TestGraphConstruction:
 
     def test_edge_count_is_half_degree_sum(self):
         g = petersen_graph()
-        assert sum(g.degree(v) for v in g.vertices()) == 2 * g.edge_count
+        assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count
 
 
 # the per-edge loop that the array constructor replaced, kept as its reference
@@ -201,112 +199,21 @@ class TestNeighborhood:
         assert out.isdisjoint(s | avoid)
 
 
-class TestBall:
-    def test_radius_zero_is_identity(self):
-        g = petersen_graph()
-        assert ball(g, {3, 7}, 0) == {3, 7}
-
-    def test_path_radius_two(self):
-        g = path_graph(4)
-        assert ball(g, {0}, 2) == {0, 1, 2}
-
-    def test_grid_with_avoid_matches_oracle(self):
-        g = grid_graph(5, 5)
-        center = 12
-        banned = {int(g.neighbors(center)[0])}
-        got = ball(g, {center}, 2, avoid=banned)
-        dist = bfs_oracle(g.adjacency_lists(), [center], frozenset(banned))
-        assert got == {v for v, r in dist.items() if r <= 2}
-
-    @settings(max_examples=40, deadline=None)
-    @given(graphs_strategy(), st.integers(0, 4))
-    def test_monotone_and_iterative(self, g, r):
-        s = {0}
-        b_r = ball(g, s, r)
-        b_r1 = ball(g, s, r + 1)
-        assert b_r <= b_r1
-        assert b_r1 == ball(g, b_r, 1)
-
-
 class TestSetRadiusCenter:
     def test_singleton(self):
-        assert set_radius_center(path_graph(5), {3}) == (3, 0)
+        assert eccentricity_within(path_graph(5), {3}, 3) == 0
 
     def test_path_center(self):
-        assert set_radius_center(path_graph(3), {0, 1, 2}) == (1, 1)
-
-    def test_disconnected_errors(self):
-        with pytest.raises(ValueError, match="not connected"):
-            set_radius_center(path_graph(5), {0, 4})
+        g = path_graph(3)
+        assert [eccentricity_within(g, {0, 1, 2}, v) for v in range(3)] == [2, 1, 2]
 
     def test_random_tree_matches_all_pairs_oracle(self):
         g = random_tree(9, seed=5)
         members = set(range(9))
-        adj = g.adjacency_lists()
-        best = None
+        adj = [list(map(int, g.neighbors(v))) for v in range(g.n)]
         for v in sorted(members):
             dist = bfs_oracle(adj, [v])
-            ecc = max(dist[u] for u in members)
-            if best is None or ecc < best[1]:
-                best = (v, ecc)
-        assert set_radius_center(g, members) == best
-
-
-class TestConsecutiveShortestPaths:
-    def test_single_adjacent_target(self):
-        g = path_graph(3)
-        paths, failed = consecutive_shortest_paths(g, 0, range(3), [1])
-        assert failed is None
-        assert paths[0].vertices == (0, 1)
-
-    def test_star_two_leaves_share_only_center(self):
-        g = star_graph(5)
-        paths, failed = consecutive_shortest_paths(g, 0, range(6), [1, 2])
-        assert failed is None
-        assert [p.length for p in paths] == [1, 1]
-        assert set(paths[0]) & set(paths[1]) == {0}
-
-    def test_grid_corner_residual_shortest(self):
-        # a corner has two neighbors, so the third path must report failure
-        g = grid_graph(4, 4)
-        domain = set(range(16))
-        targets = [15, 12, 3]
-        paths, failed = consecutive_shortest_paths(g, 0, domain, targets)
-        assert failed == 2
-        assert len(paths) == 2
-        used = set()
-        for p, t in zip(paths, targets):
-            allowed = (domain - used) | {0}
-            dist = bfs_oracle(g.adjacency_lists(), [0], frozenset(domain - allowed))
-            assert p.length == dist[t]  # shortest in its residual domain
-            used |= set(p.vertices)
-        assert set(paths[0]) & set(paths[1]) == {0}
-
-    def test_interior_origin_residual_shortest(self):
-        g = grid_graph(4, 4)
-        domain = set(range(16))
-        targets = [0, 15, 9]
-        paths, failed = consecutive_shortest_paths(g, 5, domain, targets)
-        assert failed is None
-        used = set()
-        for p, t in zip(paths, targets):
-            allowed = (domain - used) | {5}
-            dist = bfs_oracle(g.adjacency_lists(), [5], frozenset(domain - allowed))
-            assert p.length == dist[t]
-            used |= set(p.vertices)
-        for i, p in enumerate(paths):
-            for q in paths[:i]:
-                assert set(p) & set(q) == {5}
-
-    def test_unreachable_returns_prefix_and_index(self):
-        g = path_graph(5)
-        paths, failed = consecutive_shortest_paths(g, 0, range(5), [2, 4])
-        assert failed == 1  # P_1 consumed the middle of the only route
-        assert len(paths) == 1
-
-    def test_origin_outside_domain_errors(self):
-        with pytest.raises(ValueError):
-            consecutive_shortest_paths(path_graph(3), 0, {1, 2}, [2])
+            assert eccentricity_within(g, members, v) == max(dist[u] for u in members)
 
 
 class TestInducedSubgraph:

@@ -312,6 +312,34 @@ class TestCli:
         assert f"error: argument {flag}: must be > 0, got {bad}\n" in err_text
         assert "Traceback" not in err_text
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_bad_density_target_exits_one(self, graph_file, capsys, value):
+        with pytest.raises(SystemExit) as err:
+            main(["find-minor", "--input", str(graph_file), "--t", "3", "--density-target", value])
+        assert err.value.code == 1
+        err_text = capsys.readouterr().err
+        assert f"error: argument --density-target: must be > 0, got {value}\n" in err_text
+        assert "Traceback" not in err_text
+
+    UNIT = {"corner": 0, "spokes": [[0, 1]], "sets": [[1]], "centers": [1], "sigma": 0.01}
+
+    @pytest.mark.parametrize("witness,flags,named", [
+        ({"t": 3, "branch_sets": [[0], [1]]}, [], "ValueError: branch set count differs from t"),
+        ({"branch_sets": [[0], [1]]}, [], "KeyError: 't'"),
+        ({"t": 2, "corners": [0, 1], "paths": {"0-1": [0, 2, 0, 1]}}, [], "ValueError"),
+        (UNIT, ["--delta", "0"], "ValueError: delta must be in (0,1)"),
+        (7, [], "TypeError"),
+    ])
+    def test_verify_bad_witness_is_an_input_error(self, tmp_path, capsys, witness, flags, named):
+        gpath = tmp_path / "g.txt"
+        gpath.write_text(to_edge_list_text(gnp(60, 10, seed=0)))
+        wpath = tmp_path / "w.json"
+        wpath.write_text(json.dumps(witness))
+        assert main(["verify", "--input", str(gpath), "--witness", str(wpath), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad witness: {named}")
+        assert "Traceback" not in err
+
     def test_find_minor_payload_keys(self, graph_file, tmp_path):
         # the minor pipeline has no route, so find-minor prints no route key
         out = tmp_path / "m.json"
@@ -374,3 +402,10 @@ def test_pipelines_reject_bad_t_or_epsilon_first(pipeline, t, epsilon, message):
     with pytest.raises(ValueError) as err:
         pipeline(Graph(0), t, epsilon)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("density_target", [0.0, -1.0, float("nan")])
+def test_minor_pipeline_rejects_bad_density_target_first(density_target):
+    with pytest.raises(ValueError) as err:
+        find_minor_pipeline(petersen_graph(), 3, 1.0, density_target=density_target)
+    assert str(err.value) == f"density_target must be > 0, got {density_target}"
