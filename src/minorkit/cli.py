@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from functools import partial
@@ -58,14 +59,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive(kind):
-    """argparse type: a ``kind`` number above 0 (NaN is rejected too)."""
+    """argparse type: a ``kind`` number above 0 (NaN is rejected too) and
+    not infinite."""
     def parse(text):
         value = kind(text)
         if not value > 0:
             raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        if value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
+
+
+def _finite(text) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+_finite.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
 def _budget(args) -> int | None:
@@ -79,9 +94,14 @@ def _write_json(path, payload) -> None:
         json.dump(payload, fh, indent=2)
 
 
-def _load_input(args):
+def _load_input(args, nonempty: bool = False):
+    """The graph at ``--input``; a file that cannot be read, or with
+    ``nonempty`` one without vertices, is an input error (exit 1)."""
     try:
-        return load_graph(args.input)
+        g = load_graph(args.input)
+        if nonempty and g.n == 0:
+            raise ValueError("the file holds no vertices")
+        return g
     except (OSError, ValueError) as exc:
         print(f"error: cannot read graph from {args.input}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -94,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a graph into an edge-list file")
     p.add_argument("--family", choices=[f for f in FAMILIES if f != "file"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--param", type=float, default=0.0,
+    p.add_argument("--param", type=_finite, default=0.0,
                    help="avg degree (gnp), regularity d, or blob density")
     p.add_argument("--blob-count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
@@ -105,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract-expander", help="density-preserving expander extraction")
     _common_io(p)
     p.add_argument("--mode", choices=["plain", "small-set"], default="plain")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--eta", type=float, required=True)
+    p.add_argument("--delta", type=_finite, required=True)
+    p.add_argument("--eta", type=_finite, required=True)
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--trace", action="store_true", help="include the step trace in JSON output")
 
@@ -124,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_positive(float), default=1.0)
     p.add_argument("--mode", choices=[MODE_SUBDIVISION, MODE_MINOR_OR_SUBDIVISION],
                    default=MODE_SUBDIVISION)
-    p.add_argument("--degree-floor-c", type=float, default=None,
+    p.add_argument("--degree-floor-c", type=_finite, default=None,
                    help="constant c of the c*t*sqrt(log t) + 3t degree floor")
     p.add_argument("--trace", action="store_true",
                    help="include the extraction step trace in JSON output")
@@ -132,16 +152,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a witness JSON against a graph")
     p.add_argument("--input", required=True)
     p.add_argument("--witness", required=True, help="witness JSON path")
-    p.add_argument("--delta", type=float, default=1.0 / 3.0,
+    p.add_argument("--delta", type=_finite, default=1.0 / 3.0,
                    help="delta used for unit scale checks")
     p.add_argument("--json-out")
 
     p = sub.add_parser("oracle", help="brute-force ground truth for tiny graphs")
     p.add_argument("--input", required=True)
     p.add_argument("--t", type=int, help="complete-minor test for this t")
-    p.add_argument("--rate", type=float, help="expansion rate for the expander check")
-    p.add_argument("--eta", type=float, help="eta for the expander check")
-    p.add_argument("--small-set-delta", type=float, default=None)
+    p.add_argument("--rate", type=_finite, help="expansion rate for the expander check")
+    p.add_argument("--eta", type=_finite, help="eta for the expander check")
+    p.add_argument("--small-set-delta", type=_finite, default=None)
     p.add_argument("--json-out")
 
     p = sub.add_parser("sweep", help="run a pipeline over a grid of generated graphs")
@@ -149,13 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=[f for f in FAMILIES if f != "file"])
     p.add_argument("--ns", help="comma-separated vertex counts")
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
-    p.add_argument("--param", type=float, default=0.0)
+    p.add_argument("--param", type=_finite, default=0.0)
     p.add_argument("--blob-count", type=int, default=1)
     p.add_argument("--t", type=_positive(int), required=True)
     p.add_argument("--epsilon", type=_positive(float), default=1.0)
     p.add_argument("--mode", choices=list(SWEEP_MODES), default="minor")
     p.add_argument("--floor", type=int, default=32)
-    p.add_argument("--budget-ms", type=float, default=None)
+    p.add_argument("--budget-ms", type=_finite, default=None)
     p.add_argument("--csv-out")
     p.add_argument("--json-out")
     return parser
@@ -164,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _common_io(p):
     p.add_argument("--input", required=True, help="edge-list or DIMACS graph file")
     p.add_argument("--floor", type=int, default=32, help="practical extraction stop floor")
-    p.add_argument("--budget-ms", type=float, default=None, help="cut-search budget")
+    p.add_argument("--budget-ms", type=_finite, default=None, help="cut-search budget")
     p.add_argument("--json-out", help="write the result as JSON here")
 
 
@@ -242,7 +262,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_find_minor(args) -> int:
-    g = _load_input(args)
+    g = _load_input(args, nonempty=True)
     return _report_pipeline(args, find_minor_pipeline(
         g, args.t, args.epsilon, density_target=args.density_target,
         stop_floor=args.floor, budget_ops=_budget(args),
@@ -250,7 +270,7 @@ def _cmd_find_minor(args) -> int:
 
 
 def _cmd_find_subdivision(args) -> int:
-    g = _load_input(args)
+    g = _load_input(args, nonempty=True)
     return _report_pipeline(args, find_subdivision_pipeline(
         g, args.t, args.epsilon, mode=args.mode,
         degree_floor_coeff=args.degree_floor_c,

@@ -7,13 +7,18 @@ order is deterministic) with array operations only.  Graphs are immutable;
 "deleting" vertices means masking and relabeling the CSR rows into an
 induced subgraph that carries its id mapping.
 
-Vertex sets are plain ``set``/``frozenset`` objects.  There are two
-traversal paths over the CSR arrays, both deterministic:
+Vertex sets are plain ``set``/``frozenset`` objects.  There are three
+traversal paths over the CSR arrays, all deterministic, and in each a
+vertex's parent is the smallest-id vertex of the previous layer adjacent to
+it:
 
 * one BFS kernel (``_bfs``) with a boolean blocked mask serves every
-  traversal that needs levels, members or parents: layers are expanded
-  whole, and a vertex's parent is the smallest-id vertex of the previous
-  layer adjacent to it;
+  traversal of the whole graph that needs levels, members or parents:
+  layers are expanded whole;
+* one set-local BFS (:func:`bfs_within`) walks only the edges inside a
+  small vertex set, at a cost that follows the set's volume, not n: the
+  scaffold paths, set trimming and the verifiers' connectivity and radius
+  checks run on it;
 * one bit-parallel multi-source BFS (:func:`bfs_layer_sizes`) runs up to 64
   whole-graph searches at once and reports only each search's layer sizes.
 
@@ -209,7 +214,7 @@ def _gather(g: Graph, vertices: np.ndarray) -> tuple:
     """Concatenated neighbor rows of ``vertices`` and the length of each row."""
     starts = g._indptr[vertices]
     counts = g._indptr[vertices + 1] - starts
-    offs = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    offs = (starts - (counts.cumsum() - counts)).repeat(counts)
     return g._indices[offs + np.arange(len(offs))], counts
 
 
@@ -329,7 +334,6 @@ def bfs_parents(
     avoid: Iterable[int] = (),
     radius: Optional[int] = None,
     target=None,
-    allowed: Optional[set] = None,
     stop_size: Optional[int] = None,
 ) -> tuple:
     """Layered BFS with smallest-id parent assignment.
@@ -339,16 +343,58 @@ def bfs_parents(
     reached, or for an array of vertices once any of them is (after
     finishing the layer); ``stop_size`` stops growth once that
     many vertices are visited (layers are never truncated mid-way).
-    ``allowed``, when given, restricts the walk to that vertex set (seeds
-    included implicitly).  Returns ``(levels, parents)`` arrays: ``int32``
-    levels with -1 for unreached vertices, and parents with -1 at the seeds
-    and unreached vertices; :func:`trace_path` reads a path off ``parents``.
+    Returns ``(levels, parents)`` arrays: ``int32`` levels with -1 for
+    unreached vertices, and parents with -1 at the seeds and unreached
+    vertices; :func:`trace_path` reads a path off ``parents``.  A search
+    confined to a small vertex set is :func:`bfs_within`'s job.
     """
-    blocked = _mask(g.n, avoid)
-    if allowed is not None:
-        blocked |= ~_mask(g.n, allowed)
-    return _bfs(g, seeds, blocked, radius=radius, stop_size=stop_size, target=target,
+    return _bfs(g, seeds, _mask(g.n, avoid), radius=radius, stop_size=stop_size, target=target,
                 parents=True)
+
+
+def bfs_within(g: Graph, members: Iterable[int], seeds: Iterable[int],
+               target: Optional[int] = None) -> tuple:
+    """Layered BFS from ``seeds`` over the edges of G[members + seeds] only.
+
+    Its cost follows the set's volume, not n: the set's CSR rows are
+    gathered once and mapped to positions in ``verts``, the sorted array of
+    the set's ids, and the layers are walked over those positions.  Each
+    vertex's parent is the smallest-id vertex of the previous layer adjacent
+    to it, as in :func:`bfs_parents`.  With ``target``, a vertex of the set,
+    the walk stops once it is reached.  Returns ``(verts, levels, parents)``:
+    ``levels[j]`` is the level of ``verts[j]`` (-1 if unreached) and
+    ``parents[j]`` the position of its parent (-1 for the seeds and
+    unreached vertices), so :func:`trace_path` reads positions off it.
+    """
+    seeds = set(map(int, seeds))
+    ids = sorted(seeds.union(map(int, members)))
+    at = {v: j for j, v in enumerate(ids)}
+    verts = np.array(ids, dtype=np.int64)
+    flat, counts = _gather(g, verts)
+    pos = verts.searchsorted(flat)
+    inside = verts[np.minimum(pos, len(verts) - 1)] == flat
+    nbrs = [[] for _ in ids]  # in-set neighbor positions, ascending
+    for u, w in zip(np.arange(len(ids)).repeat(counts)[inside].tolist(), pos[inside].tolist()):
+        nbrs[u].append(w)
+    level = [-1] * len(verts)
+    parent = [-1] * len(verts)
+    frontier = sorted(at[s] for s in seeds)
+    for s in frontier:
+        level[s] = 0
+    stop = -1 if target is None else at[int(target)]
+    r = 0
+    while frontier and (stop < 0 or level[stop] < 0):
+        r += 1
+        nxt = []
+        for u in frontier:  # ascending, so the first parent found is the smallest
+            for w in nbrs[u]:
+                if level[w] < 0:
+                    level[w] = r
+                    parent[w] = u
+                    nxt.append(w)
+        nxt.sort()
+        frontier = nxt
+    return verts, np.array(level, dtype=np.int32), np.array(parent, dtype=np.int64)
 
 
 def trace_path(parents: np.ndarray, end: int) -> list:
@@ -375,11 +421,26 @@ def first_exit(g: Graph, levels: np.ndarray, targets: Iterable[int],
     none.  The scan gathers the targets' neighbor rows, so its cost follows
     the targets, not the ball.
     """
+    return _first_exit(g, levels.__getitem__, targets, max_level)
+
+
+def first_exit_within(g: Graph, verts: np.ndarray, levels: np.ndarray,
+                      targets: Iterable[int]) -> Optional[tuple]:
+    """:func:`first_exit` for the set-local ``(verts, levels)`` of
+    :func:`bfs_within`; its cost follows the targets and the set."""
+    def lookup(ids):
+        pos = np.minimum(verts.searchsorted(ids), len(verts) - 1)
+        return np.where(verts[pos] == ids, levels[pos], -1)
+    return _first_exit(g, lookup, targets, None)
+
+
+def _first_exit(g: Graph, level_of, targets: Iterable[int],
+                max_level: Optional[int]) -> Optional[tuple]:
     targets = _unique(np.fromiter(map(int, targets), dtype=np.int64))
     if not len(targets):
         return None
     flat, counts = _gather(g, targets)
-    lv = levels[flat]
+    lv = level_of(flat)
     ok = lv >= 0
     if max_level is not None:
         ok &= lv <= max_level
@@ -430,7 +491,7 @@ def eccentricity_within(g: Graph, members: Iterable[int], v: int) -> Optional[in
     """Eccentricity of ``v`` in G[members], or None if a BFS from ``v``
     inside ``members`` visits fewer than ``len(members)`` vertices."""
     members = {int(u) for u in members}
-    levels, _ = _bfs(g, [v], ~_mask(g.n, members))
+    _verts, levels, _ = bfs_within(g, members, [v])
     if int(np.count_nonzero(levels >= 0)) != len(members):
         return None
     return int(levels.max())

@@ -285,9 +285,15 @@ def _run_stage(h, t, d, state, by_index, ball_cap, alpha) -> list:
         h, seed_sets, avoid_common=state.forbidden, radius_cap=d.k, size_cap=ball_cap
     )
     hub_index = min(covered, default=None)
+    hub_leg = None
+    if hub_index is not None:
+        # the hub set's leg, center to hub, is the same for every index it joins
+        chain_hub = backtrack_chain(fam, hub_index, hub)
+        hub_leg = (chain_hub, path_through_scaffold(
+            h, by_index[hub_index].vertices, by_index[hub_index].center, chain_hub[0]))
     kept = route_and_prune(
         alpha, hub, covered, fam, t - 1 - alpha,
-        lambda i, hub, fam: _route_stage_path(h, d, by_index, hub_index, i, hub, fam),
+        lambda i, hub, fam: _route_stage_path(h, d, by_index, hub_index, hub_leg, i, hub, fam),
         {i: by_index[i].vertices for i in covered}, 4 * d.k,
     )
     # forbid the used outside segments, and retire the hub along with the
@@ -307,17 +313,16 @@ def _run_stage(h, t, d, state, by_index, ball_cap, alpha) -> list:
     return list(kept)
 
 
-def _route_stage_path(h, d, by_index, hub_index, i, hub, fam):
+def _route_stage_path(h, d, by_index, hub_index, hub_leg, i, hub, fam):
     """Path from the hub set's center through ``hub`` into set ``i``, entering
-    it once; None for the hub index itself or when no such path exists."""
-    if i == hub_index:
+    it once; None for the hub index itself or when no such path exists.
+    ``hub_leg`` is the hub ball's chain to ``hub`` and the path inside the hub
+    set from its center to the chain's seed."""
+    chain_hub, inside0 = hub_leg
+    if i == hub_index or inside0 is None:
         return None
     hub_set, target = by_index[hub_index], by_index[i]
-    chain_hub = backtrack_chain(h, fam.levels[hub_index], hub)
-    chain_tgt = backtrack_chain(h, fam.levels[i], hub)
-    inside0 = path_through_scaffold(h, hub_set.vertices, hub_set.center, chain_hub[0])
-    if inside0 is None:
-        return None
+    chain_tgt = backtrack_chain(fam, i, hub)
     scaffold = set(inside0.vertices) | set(chain_hub) | set(chain_tgt) | set(target.vertices)
     path = entry_path(
         h,

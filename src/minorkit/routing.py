@@ -1,11 +1,20 @@
 """Shared machinery for the staged constructions: interleaved ball growth
 around many seed sets until a common hub vertex appears, chain recovery from
-BFS level arrays, distance-based trimming, and two-phase path routing that
-enters a target set exactly once.
+the balls' round records, distance-based trimming, and two-phase path
+routing that enters a target set exactly once.
 
 Everything here is deterministic; all tie-breaks are by smallest vertex id.
-Per-index ball growth is independent and could fan out over workers; the
-sequential round-robin used here keeps results identical either way.
+The balls of a hub round grow together, bit-parallel: ball k owns bit k of a
+per-vertex word (more words beyond 64 balls), and one round advances every
+ball by one BFS layer.  A round whose frontier rows hold under an eighth of
+the graph's 2m row entries pushes (it gathers those rows, then ORs each
+frontier word into its neighbors); any other round pulls (every row ORs its
+neighbors' frontier words in one ``bitwise_or.reduceat``), following
+Beamer, Asanović and Patterson's direction-optimizing BFS (SC 2012) and Then
+et al.'s multi-source BFS (PVLDB 2014).  Every ball reaches the vertices, at
+the levels, that a BFS of that ball alone would.  Scaffold paths and
+trimming run on :func:`graph.bfs_within`, whose cost follows the scaffold,
+not n.
 """
 
 from __future__ import annotations
@@ -17,57 +26,126 @@ import numpy as np
 from .graph import (
     Graph,
     Path,
-    _layer_step,
+    _gather,
     _mask,
-    bfs_parents,
-    first_exit,
+    _unique,
+    bfs_parents,  # unused here; kept so the benchmark's tracer can wrap routing.bfs_parents
+    bfs_within,
+    first_exit_within,
     reached_in_order,
     trace_path,
 )
 
 
 class BallFamily:
-    """Interleaved BFS balls around several seed sets, with coverage counts."""
+    """Interleaved BFS balls around several seed sets, grown together.
+
+    Ball k, the one of the k-th smallest index, owns bit ``k % 64`` of word
+    ``k // 64`` of every vertex.  ``_closed`` holds, per vertex, the bits of
+    the balls that reached it or may not enter it (``avoid_common`` blocks
+    every ball, ``avoid_extra[i]`` ball ``i``).  One round advances every
+    ball by one BFS layer at once, so a round costs what the union of the
+    frontiers touches, not one pass per ball.  Round r's record holds the
+    vertices some ball first reached in it and those balls' bits, so a ball's
+    BFS levels are read off the records (:meth:`reached_at`) and equal those
+    of a BFS of that ball alone.
+    """
 
     def __init__(self, g: Graph, seed_sets: dict, avoid_common=(), avoid_extra=None):
         self.g = g
         self.indices = sorted(seed_sets)
-        self.levels = {}
-        self.frontiers = {}
-        self.sizes = {}
-        self.coverage = np.zeros(g.n, dtype=np.int16)
-        self._blocked = {}
-        common = _mask(g.n, avoid_common)
-        for i in self.indices:
-            seeds = sorted(int(v) for v in seed_sets[i])
-            lv = np.full(g.n, -1, dtype=np.int32)
-            lv[seeds] = 0
-            blocked = common | _mask(g.n, (avoid_extra or {}).get(i, ()))
-            if blocked[seeds].any():
+        count = len(self.indices)
+        # the narrowest unsigned type that holds a bit for each ball, 64 bits
+        # per word beyond 64 balls; little-endian, as _bit_counts reads bytes
+        dtype = np.min_scalar_type((1 << min(count, 64)) - 1).newbyteorder("<")
+        self._slots = {i: (k >> 6, k & 63, dtype.type(1 << (k & 63)))
+                       for k, i in enumerate(self.indices)}
+        every = np.zeros((max(1, -(-count // 64)), 1), dtype=dtype)
+        for word, _pos, bit in self._slots.values():
+            every[word] |= bit
+        self._closed = np.zeros((len(every), g.n), dtype=dtype)
+        self._closed[:, np.fromiter(map(int, avoid_common), dtype=np.int64)] = every
+        seeds, words = [np.empty(0, dtype=np.int64)], [np.empty((len(every), 0), dtype=dtype)]
+        for i, (word, _pos, bit) in self._slots.items():
+            extra = np.fromiter(map(int, (avoid_extra or {}).get(i, ())), dtype=np.int64)
+            self._closed[word, extra] |= bit
+            own = np.fromiter(map(int, seed_sets[i]), dtype=np.int64)
+            if (self._closed[word, own] & bit).any():
                 raise ValueError(f"seed of ball {i} lies in its avoid set")
-            self.levels[i] = lv
-            self.frontiers[i] = np.asarray(seeds, dtype=np.int64)
-            self.sizes[i] = len(seeds)
-            self.coverage[seeds] += 1
-            self._blocked[i] = blocked
+            seeds.append(own)
+            words.append(np.zeros((len(every), len(own)), dtype=dtype))
+            words[-1][word] = bit
+        self.coverage = np.zeros(g.n, dtype=np.int16)
+        self.sizes = dict.fromkeys(self.indices, 0)
+        self._rounds = []
+        self._frontier = _or_by_vertex(g.n, np.concatenate(seeds), np.concatenate(words, axis=1))
+        self._add(*self._frontier)
         self.radius = 0
 
+    def _add(self, new: np.ndarray, fresh: np.ndarray) -> None:
+        """Record one round: ``fresh[:, j]`` holds the balls that first
+        reached ``new[j]`` in it."""
+        self._closed[:, new] |= fresh
+        self.coverage[new] += np.bitwise_count(fresh).sum(axis=0, dtype=np.int16)
+        counts = _bit_counts(fresh)
+        for i, (word, pos, _bit) in self._slots.items():
+            self.sizes[i] += int(counts[word, pos])
+        self._rounds.append((new, fresh))
+
     def grow_round(self) -> bool:
-        """Advance every ball by one BFS layer.  True if any grew."""
-        grew = False
-        for i in self.indices:
-            frontier = self.frontiers[i]
-            if not len(frontier):
-                continue
-            new, _ = _layer_step(self.g, frontier, self.levels[i], self._blocked[i])
-            self.levels[i][new] = self.radius + 1
-            self.coverage[new] += 1
-            self.frontiers[i] = new
-            self.sizes[i] += len(new)
-            grew = grew or len(new) > 0
-        if grew:
-            self.radius += 1
-        return grew
+        """Advance every ball by one BFS layer.  True if any grew.
+
+        A round pushes when the frontier's rows hold under an eighth of the
+        graph's 2m row entries: it gathers those rows and ORs each one's
+        words into its neighbors.  Otherwise it pulls: every row ORs its
+        neighbors' frontier words in one ``bitwise_or.reduceat``.
+        """
+        g = self.g
+        verts, words = self._frontier
+        if not len(verts):
+            return False
+        volume = int((g._indptr[verts + 1] - g._indptr[verts]).sum())
+        if 8 * volume < len(g._indices):
+            flat, counts = _gather(g, verts)
+            pushed = np.repeat(words, counts, axis=1) & ~self._closed[:, flat]
+            keep = pushed.any(axis=0)
+            new, fresh = _or_by_vertex(g.n, flat[keep], pushed[:, keep])
+        else:
+            # reduceat reads an empty row as its next entry, so pull only
+            # rows with neighbors; vertices of degree 0 never gain a bit
+            rows = np.flatnonzero(np.diff(g._indptr))
+            frontier = np.zeros_like(self._closed)
+            frontier[:, verts] = words
+            pulled = np.bitwise_or.reduceat(frontier[:, g._indices], g._indptr[rows], axis=1)
+            pulled &= ~self._closed[:, rows]
+            hit = np.flatnonzero(pulled.any(axis=0))
+            new, fresh = rows[hit], pulled[:, hit]
+        self._frontier = (new, fresh)
+        if not len(new):
+            return False
+        self._add(new, fresh)
+        self.radius += 1
+        return True
+
+    def level_at(self, i, v: int) -> int:
+        """Ball ``i``'s BFS level at vertex ``v``, -1 if it did not reach it."""
+        word, _pos, bit = self._slots[i]
+        for r, (new, fresh) in enumerate(self._rounds):
+            p = int(new.searchsorted(v))
+            if p < len(new) and new[p] == v:
+                if fresh[word, p] & bit:
+                    return r
+        return -1
+
+    def reached_at(self, i, r: int, ids: np.ndarray) -> np.ndarray:
+        """Which of ``ids`` ball ``i`` reached in round ``r``, that is, lie
+        at BFS distance exactly r from its seeds (a boolean array)."""
+        word, _pos, bit = self._slots[i]
+        new, fresh = self._rounds[r]
+        if not len(new):
+            return np.zeros(len(ids), dtype=bool)
+        pos = np.minimum(new.searchsorted(ids), len(new) - 1)
+        return (new[pos] == ids) & ((fresh[word, pos] & bit) != 0)
 
     def best_hub(self, forbid_mask=None) -> tuple:
         """Vertex covered by the most balls (smallest id on ties) and its count.
@@ -82,7 +160,23 @@ class BallFamily:
         return hub, int(masked[hub])
 
     def covered_indices(self, v: int) -> list:
-        return [i for i in self.indices if self.levels[i][v] >= 0]
+        return [i for i in self.indices if self.level_at(i, v) >= 0]
+
+
+def _or_by_vertex(n: int, targets: np.ndarray, words: np.ndarray) -> tuple:
+    """The distinct ``targets``, ascending, and the OR of each one's words."""
+    new = _unique(targets)
+    acc = np.zeros((words.shape[0], n), dtype=words.dtype)
+    for row, src in zip(acc, words):
+        np.bitwise_or.at(row, targets, src)
+    return new, acc[:, new]
+
+
+def _bit_counts(fresh: np.ndarray) -> np.ndarray:
+    """For each word and bit, how many columns of ``fresh`` have it set."""
+    width = fresh.dtype.itemsize * 8
+    bits = np.unpackbits(np.ascontiguousarray(fresh).view(np.uint8), axis=1, bitorder="little")
+    return bits.reshape(fresh.shape[0], -1, width).sum(axis=1)
 
 
 def grow_balls_to_common_hub(
@@ -122,28 +216,25 @@ def grow_balls_to_common_hub(
     return hub, fam.covered_indices(hub), fam
 
 
-def backtrack_chain(g: Graph, levels: np.ndarray, end: int) -> list:
-    """Walk a BFS level array from ``end`` down to a level-0 seed.
+def backtrack_chain(fam: BallFamily, i, end: int) -> list:
+    """Walk ball ``i`` of ``fam`` from ``end`` down to a level-0 seed.
 
     Returns the chain ``[seed, ..., end]``; at each step the smallest-id
-    neighbor one level down is taken, so chains are deterministic.
+    neighbor one level down is taken, so chains are deterministic.  Each step
+    reads one round's record at one neighbor row, so a chain costs what its
+    rows hold, not n.
     """
-    r = int(levels[end])
+    end = int(end)
+    r = fam.level_at(i, end)
     if r < 0:
         raise ValueError("end vertex not reached by this ball")
-    chain = [int(end)]
-    v = int(end)
+    chain = [end]
     while r > 0:
-        nxt = None
-        for w in g.neighbors(v):
-            w = int(w)
-            if levels[w] == r - 1:
-                nxt = w
-                break
-        if nxt is None:
-            raise ValueError("broken level array")
-        chain.append(nxt)
-        v = nxt
+        row = fam.g.neighbors(chain[-1])
+        down = np.flatnonzero(fam.reached_at(i, r - 1, row))
+        if not len(down):
+            raise ValueError("broken ball records")
+        chain.append(int(row[down[0]]))
         r -= 1
     chain.reverse()
     return chain
@@ -161,8 +252,8 @@ def trim_to_size(g: Graph, members, center: int, size: int) -> frozenset:
         raise ValueError("center not in set")
     if size < 1:
         raise ValueError("size must be positive")
-    levels, _ = bfs_parents(g, [center], allowed=members)
-    ranked = reached_in_order(levels)
+    verts, levels, _ = bfs_within(g, members, [center])
+    ranked = verts[reached_in_order(levels)]
     if len(ranked) < size:
         raise ValueError("set too small to trim to requested size")
     return frozenset(ranked[:size].tolist())
@@ -188,17 +279,16 @@ def entry_path(
     source = int(source)
     if source in target_set:
         return path_through_scaffold(g, target_set, source, target_center)
-    outside_allowed = (scaffold - target_set) | {source}
-    levels, parents = bfs_parents(g, [source], allowed=outside_allowed)
-    entry = first_exit(g, levels, target_set)
+    verts, levels, parents = bfs_within(g, scaffold - target_set, [source])
+    entry = first_exit_within(g, verts, levels, target_set)
     if entry is None:
         return None
     _r, u, w = entry
-    outside = trace_path(parents, u)
+    outside = verts[trace_path(parents, int(np.searchsorted(verts, u)))]
     inside = path_through_scaffold(g, target_set, w, target_center)
     if inside is None:
         return None
-    verts = tuple(outside) + tuple(inside.vertices)
+    verts = tuple(outside.tolist()) + tuple(inside.vertices)
     if max_len is not None and len(verts) - 1 > max_len:
         return None
     return Path(verts)
@@ -207,9 +297,9 @@ def entry_path(
 def path_through_scaffold(g: Graph, scaffold, src: int, dst: int) -> Optional[Path]:
     """Shortest path from src to dst using only scaffold vertices (the
     endpoints are always allowed); None if there is none."""
-    allowed = {int(v) for v in scaffold}
-    allowed.update((int(src), int(dst)))
-    levels, parents = bfs_parents(g, [src], allowed=allowed, target=dst)
-    if levels[dst] < 0:
+    dst = int(dst)
+    verts, levels, parents = bfs_within(g, {int(v) for v in scaffold} | {dst}, [src], target=dst)
+    end = int(np.searchsorted(verts, dst))
+    if levels[end] < 0:
         return None
-    return Path(tuple(trace_path(parents, int(dst))))
+    return Path(tuple(verts[trace_path(parents, end)].tolist()))

@@ -263,7 +263,7 @@ def _dense_round(h, t, d, p, w0, centers, star_sets, state, round_no):
     )
 
     def route(i, hub, fam):
-        chain = backtrack_chain(h, fam.levels[i], hub)
+        chain = backtrack_chain(fam, i, hub)
         return Path(tuple(chain) if chain[0] == centers[i] else (centers[i],) + tuple(chain))
 
     kept = route_and_prune(round_no, hub, covered, fam, t + 1, route, star_sets, 2 * d.k + 2)
@@ -560,7 +560,7 @@ def _sparse_p_step(h, w, state, centers, pockets, balls, case2, alpha, d, p, thr
     )
 
     def route(i, hub, fam):
-        chain = backtrack_chain(h, fam.levels[i], hub)
+        chain = backtrack_chain(fam, i, hub)
         inner = path_through_scaffold(h, tsets[i], centers[i], chain[0])
         if inner is None:
             return None
@@ -687,7 +687,7 @@ def _connect_step(h, units, trimmed, state: _ConnectState, alpha, beta, t, d, p)
 def _route_unit_hub_path(h, units, trimmed, fam, i, alpha, hub, taken, avoid_extra, d):
     center = units[i].centers[alpha - 1]
     own = trimmed[(i, alpha - 1)]
-    chain = backtrack_chain(h, fam.levels[i], hub)
+    chain = backtrack_chain(fam, i, hub)
     dirty = any(v in taken for v in chain)
     if not dirty:
         inner = path_through_scaffold(h, own, center, chain[0])

@@ -18,14 +18,17 @@ from minorkit import (
     parse_graph_text,
 )
 from minorkit.graph import (
+    _bfs,
     _mask,
     bfs_layer_sizes,
     bfs_levels,
     bfs_parents,
+    bfs_within,
     eccentricity_within,
     exit_map,
     first_exit,
     first_exit_on_map,
+    is_connected_set,
     neighbor_counts,
     to_edge_list_text,
     trace_path,
@@ -583,15 +586,14 @@ class TestBfsKernel:
         vertex = st.integers(0, n - 1)
         seeds = data.draw(st.sets(vertex, min_size=1, max_size=3))
         avoid = data.draw(st.sets(vertex, max_size=n // 3)) - seeds
-        allowed = data.draw(st.none() | st.sets(vertex))
         radius = data.draw(st.none() | st.integers(0, 6))
         target = data.draw(st.none() | vertex | st.lists(vertex, max_size=4))
         stop_size = data.draw(st.none() | st.integers(1, n))
         levels, parents = bfs_parents(
-            g, seeds, avoid=avoid, radius=radius, allowed=allowed, stop_size=stop_size,
+            g, seeds, avoid=avoid, radius=radius, stop_size=stop_size,
             target=np.array(target, dtype=np.int32) if isinstance(target, list) else target)
         ref_levels, ref_parents = bfs_parents_reference(
-            g, seeds, avoid=avoid, radius=radius, target=target, allowed=allowed, stop_size=stop_size)
+            g, seeds, avoid=avoid, radius=radius, target=target, stop_size=stop_size)
         assert {v: int(levels[v]) for v in np.flatnonzero(levels >= 0)} == ref_levels
         assert {v: int(parents[v]) for v in ref_levels} == ref_parents
         plain = bfs_levels(g, seeds, avoid=avoid, radius=radius, stop_size=stop_size)
@@ -600,6 +602,41 @@ class TestBfsKernel:
         for v in ref_levels:
             assert trace_path(parents, v)[0] in seeds
             assert len(trace_path(parents, v)) == ref_levels[v] + 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.floats(0.5, 10.0), st.integers(0, 10**6), st.data())
+    def test_bfs_within_matches_loop_reference(self, n, avg_degree, seed, data):
+        # seeds outside the member set still start the walk, as allowed=
+        # did; a target inside the set stops it between layers
+        g = random_graph(n, avg_degree, seed)
+        vertex = st.integers(0, n - 1)
+        members = data.draw(st.sets(vertex))
+        seeds = data.draw(st.sets(vertex, min_size=1, max_size=3))
+        target = data.draw(st.none() | st.sampled_from(sorted(members | seeds)))
+        verts, levels, parents = bfs_within(g, members, seeds, target=target)
+        ref_levels, ref_parents = bfs_parents_reference(g, seeds, target=target, allowed=members)
+        assert verts.tolist() == sorted(members | seeds)
+        assert {int(verts[j]): int(levels[j]) for j in np.flatnonzero(levels >= 0)} == ref_levels
+        assert {int(verts[j]): int(verts[parents[j]]) if parents[j] >= 0 else -1
+                for j in np.flatnonzero(levels >= 0)} == ref_parents
+        assert (parents[levels < 0] == -1).all()
+        for j in np.flatnonzero(levels >= 0):
+            assert int(verts[trace_path(parents, j)[0]]) in seeds
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.floats(0.5, 8.0), st.integers(0, 10**6), st.data())
+    def test_eccentricity_matches_whole_graph_kernel(self, n, avg_degree, seed, data):
+        # the set-local verifier checks against the whole-graph BFS they ran
+        # on before, including a start vertex outside the set
+        g = random_graph(n, avg_degree, seed)
+        members = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        v = data.draw(st.integers(0, n - 1))
+        levels, _ = _bfs(g, [v], ~_mask(n, members))
+        reached = int(np.count_nonzero(levels >= 0))
+        assert eccentricity_within(g, members, v) == (
+            int(levels.max()) if reached == len(members) else None)
+        levels, _ = _bfs(g, [min(members)], ~_mask(n, members))
+        assert is_connected_set(g, members) == (int(np.count_nonzero(levels >= 0)) == len(members))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 40), st.floats(0.5, 8.0), st.integers(0, 10**6), st.data())

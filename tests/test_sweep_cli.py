@@ -321,6 +321,49 @@ class TestCli:
         assert f"error: argument --density-target: must be > 0, got {value}\n" in err_text
         assert "Traceback" not in err_text
 
+    # every float flag, with the arguments its command requires; --epsilon and
+    # --density-target must also be above 0, so -inf and nan fail that first
+    FLOAT_FLAGS = [
+        (["gen", "--family", "gnp_avg_degree", "--n", "5", "--out", os.devnull], "--param", False),
+        (["extract-expander", "--input", "g", "--delta", "0.3", "--eta", "0.1"], "--delta", False),
+        (["extract-expander", "--input", "g", "--delta", "0.3", "--eta", "0.1"], "--eta", False),
+        (["extract-expander", "--input", "g", "--delta", "0.3", "--eta", "0.1"], "--budget-ms", False),
+        (["find-minor", "--input", "g", "--t", "3"], "--epsilon", True),
+        (["find-minor", "--input", "g", "--t", "3"], "--density-target", True),
+        (["find-minor", "--input", "g", "--t", "3"], "--budget-ms", False),
+        (["find-subdivision", "--input", "g", "--t", "3"], "--epsilon", True),
+        (["find-subdivision", "--input", "g", "--t", "3"], "--degree-floor-c", False),
+        (["find-subdivision", "--input", "g", "--t", "3"], "--budget-ms", False),
+        (["verify", "--input", "g", "--witness", "w"], "--delta", False),
+        (["oracle", "--input", "g"], "--rate", False),
+        (["oracle", "--input", "g"], "--eta", False),
+        (["oracle", "--input", "g"], "--small-set-delta", False),
+        (["sweep", "--t", "3"], "--param", False),
+        (["sweep", "--t", "3"], "--epsilon", True),
+        (["sweep", "--t", "3"], "--budget-ms", False),
+    ]
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("argv,flag,positive", FLOAT_FLAGS)
+    def test_non_finite_float_exits_one(self, capsys, argv, flag, positive, value):
+        # rejected while parsing, before any file is read
+        with pytest.raises(SystemExit) as err:
+            main([*argv, f"{flag}={value}"])
+        assert err.value.code == 1
+        rule = "must be > 0" if positive and value != "inf" else "must be finite"
+        err_text = capsys.readouterr().err
+        assert f"error: argument {flag}: {rule}, got {value}\n" in err_text
+        assert "Traceback" not in err_text
+
+    @pytest.mark.parametrize("text", ["", "# n = 0, m = 0\n"])
+    @pytest.mark.parametrize("command", ["find-minor", "find-subdivision"])
+    def test_file_without_vertices_exits_one(self, tmp_path, capsys, command, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        assert main([command, "--input", str(path), "--t", "4"]) == 1
+        err_text = capsys.readouterr().err
+        assert err_text == f"error: cannot read graph from {path}: the file holds no vertices\n"
+
     UNIT = {"corner": 0, "spokes": [[0, 1]], "sets": [[1]], "centers": [1], "sigma": 0.01}
 
     @pytest.mark.parametrize("witness,flags,named", [
