@@ -19,8 +19,10 @@ it:
   small vertex set, at a cost that follows the set's volume, not n: the
   scaffold paths, set trimming and the verifiers' connectivity and radius
   checks run on it;
-* one bit-parallel multi-source BFS (:func:`bfs_layer_sizes`) runs up to 64
-  whole-graph searches at once and reports only each search's layer sizes.
+* one bit-parallel pull step (``_pull``) advances many whole-graph searches
+  by one layer at once, each owning one bit of a per-vertex word:
+  :func:`bfs_layer_sizes` reports each search's layer sizes with it, and
+  ``routing.BallFamily`` grows a hub round's balls with it.
 
 Thread-safety: ``Graph`` and ``Path`` never mutate after ``__init__`` and may
 be shared freely across worker threads.
@@ -294,15 +296,12 @@ def bfs_layer_sizes(g: Graph, seeds: Sequence[int]) -> list:
     vertices at distance r from it: ``np.bincount`` of the reached part of
     ``bfs_levels(g, [seed])``.  Bit-parallel multi-source BFS: seeds run in
     chunks of 64, each vertex holds a ``uint64`` with one bit per seed, and
-    one pull step ORs the frontier words of every row's neighbors, which
-    advances every seed of the chunk by one layer.  Only sizes come out; a
-    caller that needs a seed's members runs :func:`bfs_levels` for it.
+    one :func:`_pull` step advances every seed of the chunk by one layer.
+    Only sizes come out; a caller that needs a seed's members runs
+    :func:`bfs_levels` for it.
     """
     seeds = np.fromiter(map(int, seeds), dtype=np.int64)
-    # reduceat reads an empty row as its next entry, so pull only rows with
-    # neighbors; vertices of degree 0 never gain a bit anyway
-    rows = np.flatnonzero(g.degrees())
-    starts = g._indptr[rows]
+    rows = _pull_rows(g)
     out = []
     for lo in range(0, len(seeds), 64):
         chunk = seeds[lo:lo + 64]
@@ -311,21 +310,40 @@ def bfs_layer_sizes(g: Graph, seeds: Sequence[int]) -> list:
         np.bitwise_or.at(frontier, chunk, bit)  # a repeated seed gets a bit per copy
         visited = frontier.copy()
         sizes = [np.ones(len(chunk), dtype=np.int64)]
-        while len(rows):
-            pulled = np.bitwise_or.reduceat(frontier[g._indices], starts) & ~visited[rows]
-            hit = np.flatnonzero(pulled)
-            if not len(hit):
+        while True:
+            new, fresh = _pull(g, rows, frontier[None], visited[None])
+            if not len(new):
                 break
-            new, fresh = rows[hit], pulled[hit]
             frontier[:] = 0
-            frontier[new] = fresh
-            visited[new] |= fresh
+            frontier[new] = fresh[0]
+            visited[new] |= fresh[0]
             bits = np.unpackbits(fresh.astype("<u8").view(np.uint8), bitorder="little")
             sizes.append(bits.reshape(-1, 64)[:, :len(chunk)].sum(axis=0, dtype=np.int64))
         # a seed's sizes are non-zero up to its last layer and zero after it
         for col in np.array(sizes).T:
             out.append(col[:np.count_nonzero(col)])
     return out
+
+
+def _pull_rows(g: Graph) -> np.ndarray:
+    """The vertices with neighbors, the rows a :func:`_pull` step reads:
+    ``reduceat`` reads an empty row as its next entry, and a vertex of
+    degree 0 never gains a bit anyway."""
+    return np.flatnonzero(np.diff(g._indptr))
+
+
+def _pull(g: Graph, rows: np.ndarray, frontier: np.ndarray, closed: np.ndarray) -> tuple:
+    """One pull layer of a bit-parallel BFS over ``(words, n)`` bit arrays.
+
+    Each of ``rows`` (from :func:`_pull_rows`) ORs its neighbors'
+    ``frontier`` words in one ``bitwise_or.reduceat`` and drops the bits it
+    holds in ``closed``.  Returns the rows that gained a bit, ascending, and
+    those bits as a ``(words, len(new))`` array.
+    """
+    pulled = np.bitwise_or.reduceat(frontier[:, g._indices], g._indptr[rows], axis=1)
+    pulled &= ~np.take(closed, rows, axis=1)
+    hit = np.flatnonzero(pulled.any(axis=0))
+    return rows[hit], np.take(pulled, hit, axis=1)
 
 
 def bfs_parents(

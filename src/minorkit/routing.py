@@ -7,8 +7,9 @@ Everything here is deterministic; all tie-breaks are by smallest vertex id.
 The balls of a hub round grow together, bit-parallel: ball k owns bit k of a
 per-vertex word (more words beyond 64 balls), and one round advances every
 ball by one BFS layer.  A round whose frontier rows hold under an eighth of
-the graph's 2m row entries pushes (it gathers those rows, then ORs each
-frontier word into its neighbors); any other round pulls (every row ORs its
+the graph's 2m row entries pushes (it gathers those rows, sorts the
+neighbors they reach and ORs each one's words in one
+``bitwise_or.reduceat``); any other round pulls (every row ORs its
 neighbors' frontier words in one ``bitwise_or.reduceat``), following
 Beamer, Asanović and Patterson's direction-optimizing BFS (SC 2012) and Then
 et al.'s multi-source BFS (PVLDB 2014).  Every ball reaches the vertices, at
@@ -28,7 +29,8 @@ from .graph import (
     Path,
     _gather,
     _mask,
-    _unique,
+    _pull,
+    _pull_rows,
     bfs_parents,  # unused here; kept so the benchmark's tracer can wrap routing.bfs_parents
     bfs_within,
     first_exit_within,
@@ -46,9 +48,13 @@ class BallFamily:
     every ball, ``avoid_extra[i]`` ball ``i``).  One round advances every
     ball by one BFS layer at once, so a round costs what the union of the
     frontiers touches, not one pass per ball.  Round r's record holds the
-    vertices some ball first reached in it and those balls' bits, so a ball's
-    BFS levels are read off the records (:meth:`reached_at`) and equal those
-    of a BFS of that ball alone.
+    vertices some ball first reached in it, with either their words or each
+    ball's share of them (:meth:`_add`), so a ball's BFS levels are read off
+    the records (:meth:`reached_at`) and equal those of a BFS of that ball
+    alone.  The records take at most 4 bytes per vertex a ball reached and
+    ``_closed`` at most 1 byte per vertex and ball: within the 5 bytes per
+    vertex and ball of a per-ball level array and blocked mask, plus one
+    8-byte offset per ball for each round stored ball by ball.
     """
 
     def __init__(self, g: Graph, seed_sets: dict, avoid_common=(), avoid_extra=None):
@@ -56,17 +62,16 @@ class BallFamily:
         self.indices = sorted(seed_sets)
         count = len(self.indices)
         # the narrowest unsigned type that holds a bit for each ball, 64 bits
-        # per word beyond 64 balls; little-endian, as _bit_counts reads bytes
-        dtype = np.min_scalar_type((1 << min(count, 64)) - 1).newbyteorder("<")
-        self._slots = {i: (k >> 6, k & 63, dtype.type(1 << (k & 63)))
-                       for k, i in enumerate(self.indices)}
+        # per word beyond 64 balls
+        dtype = np.min_scalar_type((1 << min(count, 64)) - 1)
+        self._slots = {i: (k, k >> 6, dtype.type(1 << (k & 63))) for k, i in enumerate(self.indices)}
         every = np.zeros((max(1, -(-count // 64)), 1), dtype=dtype)
-        for word, _pos, bit in self._slots.values():
+        for _k, word, bit in self._slots.values():
             every[word] |= bit
         self._closed = np.zeros((len(every), g.n), dtype=dtype)
         self._closed[:, np.fromiter(map(int, avoid_common), dtype=np.int64)] = every
         seeds, words = [np.empty(0, dtype=np.int64)], [np.empty((len(every), 0), dtype=dtype)]
-        for i, (word, _pos, bit) in self._slots.items():
+        for i, (_k, word, bit) in self._slots.items():
             extra = np.fromiter(map(int, (avoid_extra or {}).get(i, ())), dtype=np.int64)
             self._closed[word, extra] |= bit
             own = np.fromiter(map(int, seed_sets[i]), dtype=np.int64)
@@ -78,27 +83,40 @@ class BallFamily:
         self.coverage = np.zeros(g.n, dtype=np.int16)
         self.sizes = dict.fromkeys(self.indices, 0)
         self._rounds = []
-        self._frontier = _or_by_vertex(g.n, np.concatenate(seeds), np.concatenate(words, axis=1))
+        self._rows = None
+        self._frontier = _or_by_vertex(np.concatenate(seeds), np.concatenate(words, axis=1))
         self._add(*self._frontier)
         self.radius = 0
 
     def _add(self, new: np.ndarray, fresh: np.ndarray) -> None:
         """Record one round: ``fresh[:, j]`` holds the balls that first
-        reached ``new[j]`` in it."""
+        reached ``new[j]`` in it.
+
+        The record keeps whichever form takes fewer bytes: ``new`` with its
+        words, or each ball's reached vertices in turn with one offset per
+        ball.  Either takes at most 4 bytes per vertex a ball reached.
+        """
         self._closed[:, new] |= fresh
-        self.coverage[new] += np.bitwise_count(fresh).sum(axis=0, dtype=np.int16)
-        counts = _bit_counts(fresh)
-        for i, (word, pos, _bit) in self._slots.items():
-            self.sizes[i] += int(counts[word, pos])
-        self._rounds.append((new, fresh))
+        bits = _bit_rows(fresh, len(self.indices))
+        self.coverage[new] += bits.sum(axis=0, dtype=np.int16)
+        counts = np.count_nonzero(bits, axis=1)
+        for i, (k, _word, _bit) in self._slots.items():
+            self.sizes[i] += int(counts[k])
+        if 4 * int(counts.sum()) < (4 + fresh.itemsize * len(fresh)) * len(new):
+            ball, pos = np.nonzero(bits)  # ball-major, each ball's vertices ascending
+            offsets = np.searchsorted(ball, np.arange(len(counts) + 1))
+            self._rounds.append((new[pos].astype(np.int32), None, offsets))
+        else:
+            self._rounds.append((new.astype(np.int32), fresh, None))
 
     def grow_round(self) -> bool:
         """Advance every ball by one BFS layer.  True if any grew.
 
         A round pushes when the frontier's rows hold under an eighth of the
-        graph's 2m row entries: it gathers those rows and ORs each one's
-        words into its neighbors.  Otherwise it pulls: every row ORs its
-        neighbors' frontier words in one ``bitwise_or.reduceat``.
+        graph's 2m row entries: it gathers those rows, sorts the neighbors
+        they reach and ORs each one's words.  Otherwise it pulls
+        (:func:`graph._pull`): every row ORs its neighbors' frontier words
+        in one ``bitwise_or.reduceat``.
         """
         g = self.g
         verts, words = self._frontier
@@ -107,19 +125,15 @@ class BallFamily:
         volume = int((g._indptr[verts + 1] - g._indptr[verts]).sum())
         if 8 * volume < len(g._indices):
             flat, counts = _gather(g, verts)
-            pushed = np.repeat(words, counts, axis=1) & ~self._closed[:, flat]
+            pushed = np.repeat(words, counts, axis=1) & ~np.take(self._closed, flat, axis=1)
             keep = pushed.any(axis=0)
-            new, fresh = _or_by_vertex(g.n, flat[keep], pushed[:, keep])
+            new, fresh = _or_by_vertex(flat[keep], pushed[:, keep])
         else:
-            # reduceat reads an empty row as its next entry, so pull only
-            # rows with neighbors; vertices of degree 0 never gain a bit
-            rows = np.flatnonzero(np.diff(g._indptr))
+            if self._rows is None:
+                self._rows = _pull_rows(g)
             frontier = np.zeros_like(self._closed)
             frontier[:, verts] = words
-            pulled = np.bitwise_or.reduceat(frontier[:, g._indices], g._indptr[rows], axis=1)
-            pulled &= ~self._closed[:, rows]
-            hit = np.flatnonzero(pulled.any(axis=0))
-            new, fresh = rows[hit], pulled[:, hit]
+            new, fresh = _pull(g, self._rows, frontier, self._closed)
         self._frontier = (new, fresh)
         if not len(new):
             return False
@@ -129,23 +143,25 @@ class BallFamily:
 
     def level_at(self, i, v: int) -> int:
         """Ball ``i``'s BFS level at vertex ``v``, -1 if it did not reach it."""
-        word, _pos, bit = self._slots[i]
-        for r, (new, fresh) in enumerate(self._rounds):
-            p = int(new.searchsorted(v))
-            if p < len(new) and new[p] == v:
-                if fresh[word, p] & bit:
-                    return r
+        v = np.array([v])
+        for r in range(len(self._rounds)):
+            if self.reached_at(i, r, v)[0]:
+                return r
         return -1
 
     def reached_at(self, i, r: int, ids: np.ndarray) -> np.ndarray:
         """Which of ``ids`` ball ``i`` reached in round ``r``, that is, lie
         at BFS distance exactly r from its seeds (a boolean array)."""
-        word, _pos, bit = self._slots[i]
-        new, fresh = self._rounds[r]
-        if not len(new):
+        k, word, bit = self._slots[i]
+        verts, fresh, offsets = self._rounds[r]
+        if offsets is not None:
+            verts = verts[offsets[k]:offsets[k + 1]]
+        if not len(verts):
             return np.zeros(len(ids), dtype=bool)
-        pos = np.minimum(new.searchsorted(ids), len(new) - 1)
-        return (new[pos] == ids) & ((fresh[word, pos] & bit) != 0)
+        pos = np.minimum(verts.searchsorted(ids), len(verts) - 1)
+        if fresh is None:
+            return verts[pos] == ids
+        return (verts[pos] == ids) & ((fresh[word, pos] & bit) != 0)
 
     def best_hub(self, forbid_mask=None) -> tuple:
         """Vertex covered by the most balls (smallest id on ties) and its count.
@@ -163,20 +179,25 @@ class BallFamily:
         return [i for i in self.indices if self.level_at(i, v) >= 0]
 
 
-def _or_by_vertex(n: int, targets: np.ndarray, words: np.ndarray) -> tuple:
-    """The distinct ``targets``, ascending, and the OR of each one's words."""
-    new = _unique(targets)
-    acc = np.zeros((words.shape[0], n), dtype=words.dtype)
-    for row, src in zip(acc, words):
-        np.bitwise_or.at(row, targets, src)
-    return new, acc[:, new]
+def _or_by_vertex(targets: np.ndarray, words: np.ndarray) -> tuple:
+    """The distinct ``targets``, ascending, and the OR of each one's words:
+    one sort, then one ``bitwise_or.reduceat`` over each target's run."""
+    if not len(targets):
+        return targets, words
+    order = np.argsort(targets)
+    targets = targets[order]
+    starts = np.flatnonzero(np.diff(targets, prepend=targets[:1] - 1))
+    return targets[starts], np.bitwise_or.reduceat(words[:, order], starts, axis=1)
 
 
-def _bit_counts(fresh: np.ndarray) -> np.ndarray:
-    """For each word and bit, how many columns of ``fresh`` have it set."""
-    width = fresh.dtype.itemsize * 8
-    bits = np.unpackbits(np.ascontiguousarray(fresh).view(np.uint8), axis=1, bitorder="little")
-    return bits.reshape(fresh.shape[0], -1, width).sum(axis=1)
+def _bit_rows(words: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` bits of each column of ``words``, a ``(words, c)``
+    array whose bit k is bit ``k % 64`` of word ``k // 64``, as a
+    ``(count, c)`` boolean array: row k holds bit k of every column."""
+    rows = np.empty((count, words.shape[1]), dtype=bool)
+    for k, row in enumerate(rows):
+        np.not_equal(words[k >> 6] & words.dtype.type(1 << (k & 63)), 0, out=row)
+    return rows
 
 
 def grow_balls_to_common_hub(

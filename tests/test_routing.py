@@ -218,6 +218,26 @@ class TestBallFamily:
         assert (hub, covered) == (ref_hub, ref_covered) and fam.radius == ref.radius > 20
         assert_same_family(fam, ref)
 
+    @pytest.mark.parametrize("n,count", [(4096, 1), (4096, 9), (4096, 70), (300, 40)])
+    def test_records_cost_at_most_five_bytes_per_vertex_and_ball(self, n, count):
+        # the per-ball family kept a 4-byte level array and a 1-byte blocked
+        # mask per ball; grown until every ball stops, the records hold at
+        # most 4 bytes per vertex a ball reached, the closed words at most 1
+        # byte per vertex and ball, and a round stored ball by ball one
+        # 8-byte offset per ball
+        g = torus(n) if n == 4096 else random_graph(n, 6.0, 3)
+        rng = random.Random(count)
+        fam = BallFamily(g, {i: {rng.randrange(n)} for i in range(count)})
+        while fam.grow_round():
+            pass
+        records = sum(verts.nbytes + (0 if fresh is None else fresh.nbytes)
+                      for verts, fresh, _ in fam._rounds)
+        assert records <= 4 * sum(fam.sizes.values()) <= 4 * n * count
+        assert fam._closed.nbytes <= n * count
+        for _, fresh, offsets in fam._rounds:
+            assert (fresh is None) != (offsets is None)
+            assert offsets is None or offsets.nbytes == 8 * (count + 1)
+
     @pytest.mark.parametrize("common,extra,bad", [
         ({3}, {}, 1), ((), {2: {7}}, 2), ({5}, {2: {7}}, 1), ((), {1: {9}, 2: {7}}, 2),
     ])
