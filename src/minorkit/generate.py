@@ -36,10 +36,14 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family != "file" and self.n < 1:
-            raise ValueError("n must be positive")
-        if self.family == "file" and not self.path:
-            raise ValueError("file family needs a path")
+        # the ranges are checked before any generator allocates for n or per blob
+        if self.family == "file":
+            if not self.path:
+                raise ValueError("file family needs a path")
+        elif not 1 <= self.n <= 2**31 - 1:
+            raise ValueError(f"n = {self.n} outside 1..{2**31 - 1}")
+        elif self.family == "dense_blobs" and not 1 <= self.blob_count <= self.n:
+            raise ValueError(f"blob_count = {self.blob_count} outside 1..n = {self.n}")
 
     def label(self) -> str:
         if self.family == "file":
@@ -189,15 +193,11 @@ def _random_regular(n: int, d: int, seed: int) -> Graph:
 
 
 def _dense_blobs(n: int, density: float, blob_count: int, seed: int) -> Graph:
-    if blob_count < 1:
-        raise ValueError("blob_count must be positive")
     if not (0.0 <= density <= 1.0):
         raise ValueError("blob density must be a probability")
     base = n // blob_count
     extra = n % blob_count
     sizes = [base + (1 if i < extra else 0) for i in range(blob_count)]
-    if min(sizes) < 1:
-        raise ValueError("more blobs than vertices")
     children = np.random.SeedSequence(seed).spawn(blob_count)
     blocks = [np.empty((0, 2), dtype=np.int64)]
     offset = 0
@@ -226,13 +226,15 @@ def _grid_torus(n: int) -> Graph:
 def girth(g: Graph) -> Optional[int]:
     """Length of a shortest cycle, None if acyclic.
 
-    A BFS from each root in turn prices every non-tree edge ``(u, w)``
-    between reached vertices as a cycle of length at most
-    ``level(u) + level(w) + 1``; the least such bound is at most the length
-    of every cycle through the root.  A finished root is then deleted, as no
-    cycle through it can beat that bound, and so is every vertex left with
-    degree at most 1.  Once a cycle of length ``best`` is known, no BFS
-    needs to go deeper than ``(best - 1) // 2`` to find a shorter one.
+    A BFS from each root in turn prices cycles from its levels alone: an
+    edge inside layer L > 0 closes a cycle of length at most 2L + 1, and a
+    vertex of layer L > 0 with two neighbors in layer L - 1 one of length
+    at most 2L.  These are the non-tree edges between reached vertices, so
+    the least such bound is at most the length of every cycle through the
+    root.  A finished root is then deleted, as no cycle through it can beat
+    that bound, and so is every vertex left with degree at most 1.  Once a
+    cycle of length ``best`` is known, no BFS needs to go deeper than
+    ``(best - 1) // 2`` to find a shorter one.
     """
     deg = g.degrees().copy()
     gone = np.zeros(g.n, dtype=bool)
@@ -258,12 +260,14 @@ def girth(g: Graph) -> Optional[int]:
         if gone[root]:
             continue
         radius = None if best == math.inf else (best - 1) // 2
-        levels, parents = _bfs(g, [root], gone, radius=radius, parents=True)
-        reached = np.flatnonzero(levels >= 0)
+        levels = _bfs(g, [root], gone, radius=radius)
+        reached = np.flatnonzero(levels > 0)
         nbrs, counts = _gather(g, reached)
         owner = np.repeat(reached, counts)
-        cross = (levels[nbrs] >= 0) & (parents[owner] != nbrs) & (parents[nbrs] != owner)
-        if cross.any():
-            best = min(best, int((levels[owner[cross]] + levels[nbrs[cross]]).min()) + 1)
+        level, other = levels[owner], levels[nbrs]
+        down = np.bincount(owner[other == level - 1], minlength=g.n)[reached]
+        bounds = np.concatenate((2 * level[other == level] + 1, 2 * levels[reached[down >= 2]]))
+        if len(bounds):
+            best = min(best, int(bounds.min()))
         delete(root)
     return None if best == math.inf else int(best)

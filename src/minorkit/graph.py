@@ -7,22 +7,24 @@ order is deterministic) with array operations only.  Graphs are immutable;
 "deleting" vertices means masking and relabeling the CSR rows into an
 induced subgraph that carries its id mapping.
 
-Vertex sets are plain ``set``/``frozenset`` objects.  There are three
-traversal paths over the CSR arrays, all deterministic, and in each a
-vertex's parent is the smallest-id vertex of the previous layer adjacent to
-it:
+Vertex sets are plain ``set``/``frozenset`` objects.  Every traversal over
+the CSR arrays is deterministic and returns BFS levels only, and one path
+reader, :func:`walk_down`, reads every path off them: from a vertex at level
+r it steps to the smallest-id neighbor at level r - 1, down to level 0.  So
+on every path a vertex's predecessor is the smallest-id vertex of the
+previous layer adjacent to it.  There are three traversals:
 
 * one BFS kernel (``_bfs``) with a boolean blocked mask serves every
-  traversal of the whole graph that needs levels, members or parents:
-  layers are expanded whole;
+  traversal of the whole graph: layers are expanded whole;
 * one set-local BFS (:func:`bfs_within`) walks only the edges inside a
   small vertex set, at a cost that follows the set's volume, not n: the
   scaffold paths, set trimming and the verifiers' connectivity and radius
   checks run on it;
-* one bit-parallel pull step (``_pull``) advances many whole-graph searches
-  by one layer at once, each owning one bit of a per-vertex word:
-  :func:`bfs_layer_sizes` reports each search's layer sizes with it, and
-  ``routing.BallFamily`` grows a hub round's balls with it.
+* one bit-parallel layer step (:func:`multi_step`) advances many
+  whole-graph searches by one layer at once, each owning one bit of a
+  per-vertex word; it pushes from a small frontier and pulls over every row
+  otherwise.  :func:`bfs_layer_sizes` reports each search's layer sizes
+  with it, and ``routing.BallFamily`` grows a hub round's balls with it.
 
 Thread-safety: ``Graph`` and ``Path`` never mutate after ``__init__`` and may
 be shared freely across worker threads.
@@ -155,15 +157,13 @@ def _build_csr(n: int, pairs: np.ndarray) -> tuple:
     return indptr, (key % n).astype(np.int32)
 
 
-def _unique(a: np.ndarray, return_first: bool = False):
-    """Sorted distinct values of an integer array (with ``return_first``, also
-    each one's first index), by sort and flag: numpy 2.x's ``np.unique`` hashes
-    integers first, about 50 times slower than a sort on 656k edge keys.
+def _unique(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array, by sort and flag: numpy
+    2.x's ``np.unique`` hashes integers first, about 50 times slower than a
+    sort on 656k edge keys.
     """
-    order = np.argsort(a, kind="stable") if return_first else None
-    a = a[order] if return_first else np.sort(a)
-    flag = np.diff(a, prepend=a[:1] - 1) != 0
-    return (a[flag], order[flag]) if return_first else a[flag]
+    a = np.sort(a)
+    return a[np.diff(a, prepend=a[:1] - 1) != 0]
 
 
 class InducedSubgraph(NamedTuple):
@@ -220,35 +220,24 @@ def _gather(g: Graph, vertices: np.ndarray) -> tuple:
     return g._indices[offs + np.arange(len(offs))], counts
 
 
-def _layer_step(g: Graph, frontier: np.ndarray, levels: np.ndarray, blocked: np.ndarray,
-                parents: bool = False) -> tuple:
-    """One BFS layer: the sorted unvisited, unblocked neighbors of ``frontier``.
-
-    With ``parents`` also returns, for each new vertex, its smallest-id
-    neighbor in ``frontier`` (which must be sorted ascending); else None.
-    """
-    flat, counts = _gather(g, frontier)
-    keep = (levels[flat] < 0) & ~blocked[flat]
-    if not parents:
-        return _unique(flat[keep]), None
-    new, first = _unique(flat[keep], return_first=True)
-    return new, np.repeat(frontier, counts)[keep][first]
+def _layer_step(g: Graph, frontier: np.ndarray, levels: np.ndarray,
+                blocked: np.ndarray) -> np.ndarray:
+    """One BFS layer: the sorted unvisited, unblocked neighbors of ``frontier``."""
+    flat, _ = _gather(g, frontier)
+    return _unique(flat[(levels[flat] < 0) & ~blocked[flat]])
 
 
 def _bfs(g: Graph, seeds: Iterable[int], blocked: np.ndarray, radius: Optional[int] = None,
-         stop_size: Optional[int] = None, target=None, parents: bool = False) -> tuple:
+         stop_size: Optional[int] = None, target=None) -> np.ndarray:
     """Layered BFS from ``seeds`` through unblocked vertices: the one BFS loop.
 
     Seeds are visited even when blocked.  Growth stops after ``radius``
     layers, once ``stop_size`` vertices are visited or once ``target`` (a
     vertex, or an array of vertices of which any one will do) is visited,
-    always between whole layers.  Returns ``(levels, parents)``:
-    ``int32`` levels with -1 for unvisited vertices, and with ``parents`` an
-    array holding each visited vertex's smallest-id neighbor one layer down
-    (-1 for seeds and unvisited vertices), else None.
+    always between whole layers.  Returns ``int32`` levels with -1 for
+    unvisited vertices.
     """
     levels = np.full(g.n, -1, dtype=np.int32)
-    parent = np.full(g.n, -1, dtype=np.int32) if parents else None
     frontier = _unique(np.fromiter(map(int, seeds), dtype=np.int64))
     levels[frontier] = 0
     size = len(frontier)
@@ -260,13 +249,11 @@ def _bfs(g: Graph, seeds: Iterable[int], blocked: np.ndarray, radius: Optional[i
             break
         if target is not None and (levels[target] >= 0).any():
             break
-        frontier, src = _layer_step(g, frontier, levels, blocked, parents)
+        frontier = _layer_step(g, frontier, levels, blocked)
         r += 1
         levels[frontier] = r
-        if parents:
-            parent[frontier] = src
         size += len(frontier)
-    return levels, parent
+    return levels
 
 
 def bfs_levels(
@@ -286,7 +273,7 @@ def bfs_levels(
     blocked = _mask(g.n, avoid)
     if blocked[seeds].any():
         raise ValueError("seed inside avoid set")
-    return _bfs(g, seeds, blocked, radius=radius, stop_size=stop_size)[0]
+    return _bfs(g, seeds, blocked, radius=radius, stop_size=stop_size)
 
 
 def bfs_layer_sizes(g: Graph, seeds: Sequence[int]) -> list:
@@ -296,7 +283,7 @@ def bfs_layer_sizes(g: Graph, seeds: Sequence[int]) -> list:
     vertices at distance r from it: ``np.bincount`` of the reached part of
     ``bfs_levels(g, [seed])``.  Bit-parallel multi-source BFS: seeds run in
     chunks of 64, each vertex holds a ``uint64`` with one bit per seed, and
-    one :func:`_pull` step advances every seed of the chunk by one layer.
+    one :func:`multi_step` advances every seed of the chunk by one layer.
     Only sizes come out; a caller that needs a seed's members runs
     :func:`bfs_levels` for it.
     """
@@ -305,19 +292,17 @@ def bfs_layer_sizes(g: Graph, seeds: Sequence[int]) -> list:
     out = []
     for lo in range(0, len(seeds), 64):
         chunk = seeds[lo:lo + 64]
-        frontier = np.zeros(g.n, dtype=np.uint64)
         bit = np.left_shift(np.uint64(1), np.arange(len(chunk), dtype=np.uint64))
-        np.bitwise_or.at(frontier, chunk, bit)  # a repeated seed gets a bit per copy
-        visited = frontier.copy()
+        verts, words = _or_by_vertex(chunk, bit[None])  # a repeated seed gets a bit per copy
+        closed = np.zeros((1, g.n), dtype=np.uint64)
+        closed[:, verts] = words
         sizes = [np.ones(len(chunk), dtype=np.int64)]
         while True:
-            new, fresh = _pull(g, rows, frontier[None], visited[None])
-            if not len(new):
+            verts, words = multi_step(g, rows, verts, words, closed)
+            if not len(verts):
                 break
-            frontier[:] = 0
-            frontier[new] = fresh[0]
-            visited[new] |= fresh[0]
-            bits = np.unpackbits(fresh.astype("<u8").view(np.uint8), bitorder="little")
+            closed[:, verts] |= words
+            bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
             sizes.append(bits.reshape(-1, 64)[:, :len(chunk)].sum(axis=0, dtype=np.int64))
         # a seed's sizes are non-zero up to its last layer and zero after it
         for col in np.array(sizes).T:
@@ -326,24 +311,49 @@ def bfs_layer_sizes(g: Graph, seeds: Sequence[int]) -> list:
 
 
 def _pull_rows(g: Graph) -> np.ndarray:
-    """The vertices with neighbors, the rows a :func:`_pull` step reads:
+    """The vertices with neighbors, the rows a :func:`multi_step` pull reads:
     ``reduceat`` reads an empty row as its next entry, and a vertex of
     degree 0 never gains a bit anyway."""
     return np.flatnonzero(np.diff(g._indptr))
 
 
-def _pull(g: Graph, rows: np.ndarray, frontier: np.ndarray, closed: np.ndarray) -> tuple:
-    """One pull layer of a bit-parallel BFS over ``(words, n)`` bit arrays.
+def multi_step(g: Graph, rows: np.ndarray, verts: np.ndarray, words: np.ndarray,
+               closed: np.ndarray) -> tuple:
+    """One layer of a bit-parallel BFS: many searches, one bit each.
 
-    Each of ``rows`` (from :func:`_pull_rows`) ORs its neighbors'
-    ``frontier`` words in one ``bitwise_or.reduceat`` and drops the bits it
-    holds in ``closed``.  Returns the rows that gained a bit, ascending, and
-    those bits as a ``(words, len(new))`` array.
+    The frontier is ``verts`` (ascending) with their ``(words, len(verts))``
+    bits; ``closed`` is a ``(words, n)`` array of the bits each vertex may
+    no longer gain (visited or blocked).  When the frontier's rows hold
+    under an eighth of the graph's 2m row entries the step pushes: it
+    gathers those rows and ORs each reached neighbor's words.  Otherwise it
+    pulls: each of ``rows`` (from :func:`_pull_rows`) ORs its neighbors'
+    frontier words in one ``bitwise_or.reduceat``.  Either way it returns
+    the vertices that gained a bit, ascending, and those bits as a
+    ``(words, len(new))`` array; the caller adds them to ``closed``.
     """
+    volume = int((g._indptr[verts + 1] - g._indptr[verts]).sum())
+    if 8 * volume < len(g._indices):
+        flat, counts = _gather(g, verts)
+        pushed = np.repeat(words, counts, axis=1) & ~np.take(closed, flat, axis=1)
+        keep = pushed.any(axis=0)
+        return _or_by_vertex(flat[keep], pushed[:, keep])
+    frontier = np.zeros_like(closed)
+    frontier[:, verts] = words
     pulled = np.bitwise_or.reduceat(frontier[:, g._indices], g._indptr[rows], axis=1)
     pulled &= ~np.take(closed, rows, axis=1)
     hit = np.flatnonzero(pulled.any(axis=0))
     return rows[hit], np.take(pulled, hit, axis=1)
+
+
+def _or_by_vertex(targets: np.ndarray, words: np.ndarray) -> tuple:
+    """The distinct ``targets``, ascending, and the OR of each one's words:
+    one sort, then one ``bitwise_or.reduceat`` over each target's run."""
+    if not len(targets):
+        return targets, words
+    order = np.argsort(targets)
+    targets = targets[order]
+    starts = np.flatnonzero(np.diff(targets, prepend=targets[:1] - 1))
+    return targets[starts], np.bitwise_or.reduceat(words[:, order], starts, axis=1)
 
 
 def bfs_parents(
@@ -353,21 +363,18 @@ def bfs_parents(
     radius: Optional[int] = None,
     target=None,
     stop_size: Optional[int] = None,
-) -> tuple:
-    """Layered BFS with smallest-id parent assignment.
+) -> np.ndarray:
+    """Layered BFS levels for a path search, which :func:`walk_down` reads.
 
-    Each vertex's parent is the smallest-id vertex of the previous layer
-    adjacent to it.  If ``target`` is given the search stops once it is
-    reached, or for an array of vertices once any of them is (after
-    finishing the layer); ``stop_size`` stops growth once that
-    many vertices are visited (layers are never truncated mid-way).
-    Returns ``(levels, parents)`` arrays: ``int32`` levels with -1 for
-    unreached vertices, and parents with -1 at the seeds and unreached
-    vertices; :func:`trace_path` reads a path off ``parents``.  A search
-    confined to a small vertex set is :func:`bfs_within`'s job.
+    If ``target`` is given the search stops once it is reached, or for an
+    array of vertices once any of them is (after finishing the layer);
+    ``stop_size`` stops growth once that many vertices are visited (layers
+    are never truncated mid-way).  Returns ``int32`` levels with -1 for
+    unreached vertices, as :func:`bfs_levels` does; the name stays because
+    ``perfbench/tracer.py`` times path searches under it.  A search confined
+    to a small vertex set is :func:`bfs_within`'s job.
     """
-    return _bfs(g, seeds, _mask(g.n, avoid), radius=radius, stop_size=stop_size, target=target,
-                parents=True)
+    return _bfs(g, seeds, _mask(g.n, avoid), radius=radius, stop_size=stop_size, target=target)
 
 
 def bfs_within(g: Graph, members: Iterable[int], seeds: Iterable[int],
@@ -376,51 +383,65 @@ def bfs_within(g: Graph, members: Iterable[int], seeds: Iterable[int],
 
     Its cost follows the set's volume, not n: the set's CSR rows are
     gathered once and mapped to positions in ``verts``, the sorted array of
-    the set's ids, and the layers are walked over those positions.  Each
-    vertex's parent is the smallest-id vertex of the previous layer adjacent
-    to it, as in :func:`bfs_parents`.  With ``target``, a vertex of the set,
-    the walk stops once it is reached.  Returns ``(verts, levels, parents)``:
-    ``levels[j]`` is the level of ``verts[j]`` (-1 if unreached) and
-    ``parents[j]`` the position of its parent (-1 for the seeds and
-    unreached vertices), so :func:`trace_path` reads positions off it.
+    the set's ids, and the layers are walked over those positions.  With
+    ``target``, a vertex of the set, the walk stops once it is reached.
+    Returns ``(verts, levels)``: ``levels[j]`` is the level of ``verts[j]``,
+    -1 if unreached; :func:`within_levels` looks levels up by id.
     """
     seeds = set(map(int, seeds))
     ids = sorted(seeds.union(map(int, members)))
-    at = {v: j for j, v in enumerate(ids)}
     verts = np.array(ids, dtype=np.int64)
     flat, counts = _gather(g, verts)
     pos = verts.searchsorted(flat)
     inside = verts[np.minimum(pos, len(verts) - 1)] == flat
-    nbrs = [[] for _ in ids]  # in-set neighbor positions, ascending
+    nbrs = [[] for _ in ids]  # in-set neighbor positions
     for u, w in zip(np.arange(len(ids)).repeat(counts)[inside].tolist(), pos[inside].tolist()):
         nbrs[u].append(w)
     level = [-1] * len(verts)
-    parent = [-1] * len(verts)
-    frontier = sorted(at[s] for s in seeds)
+    frontier = verts.searchsorted(list(seeds)).tolist()
     for s in frontier:
         level[s] = 0
-    stop = -1 if target is None else at[int(target)]
+    stop = -1 if target is None else int(verts.searchsorted(int(target)))
     r = 0
     while frontier and (stop < 0 or level[stop] < 0):
         r += 1
         nxt = []
-        for u in frontier:  # ascending, so the first parent found is the smallest
+        for u in frontier:
             for w in nbrs[u]:
                 if level[w] < 0:
                     level[w] = r
-                    parent[w] = u
                     nxt.append(w)
-        nxt.sort()
         frontier = nxt
-    return verts, np.array(level, dtype=np.int32), np.array(parent, dtype=np.int64)
+    return verts, np.array(level, dtype=np.int32)
 
 
-def trace_path(parents: np.ndarray, end: int) -> list:
-    out = [int(end)]
-    while parents[out[-1]] >= 0:
-        out.append(int(parents[out[-1]]))
-    out.reverse()
-    return out
+def within_levels(verts: np.ndarray, levels: np.ndarray):
+    """The levels of :func:`bfs_within`'s ``(verts, levels)`` by vertex id:
+    a function of an id array, -1 for ids outside the set."""
+    def level_of(ids):
+        pos = np.minimum(verts.searchsorted(ids), len(verts) - 1)
+        return np.where(verts[pos] == ids, levels[pos], -1)
+    return level_of
+
+
+def walk_down(g: Graph, end: int, r: int, at_level) -> list:
+    """The path ``[seed, ..., end]`` read off a BFS from ``end`` at level ``r``.
+
+    Each step goes to the smallest-id neighbor that ``at_level(r - 1, row)``
+    marks in the neighbor row ``row`` (a boolean array), down to level 0:
+    the one rule by which minorkit picks a path's predecessor.  A
+    whole-graph search passes ``lambda r, ids: levels[ids] == r``.  A path
+    costs what its vertices' rows hold, not n.
+    """
+    path = [int(end)]
+    for r in range(int(r) - 1, -1, -1):
+        row = g.neighbors(path[-1])
+        down = np.flatnonzero(at_level(r, row))
+        if not len(down):
+            raise ValueError(f"vertex {path[-1]} has no neighbor at level {r}")
+        path.append(int(row[down[0]]))
+    path.reverse()
+    return path
 
 
 def reached_in_order(levels: np.ndarray) -> np.ndarray:
@@ -446,10 +467,7 @@ def first_exit_within(g: Graph, verts: np.ndarray, levels: np.ndarray,
                       targets: Iterable[int]) -> Optional[tuple]:
     """:func:`first_exit` for the set-local ``(verts, levels)`` of
     :func:`bfs_within`; its cost follows the targets and the set."""
-    def lookup(ids):
-        pos = np.minimum(verts.searchsorted(ids), len(verts) - 1)
-        return np.where(verts[pos] == ids, levels[pos], -1)
-    return _first_exit(g, lookup, targets, None)
+    return _first_exit(g, within_levels(verts, levels), targets, None)
 
 
 def _first_exit(g: Graph, level_of, targets: Iterable[int],
@@ -509,7 +527,7 @@ def eccentricity_within(g: Graph, members: Iterable[int], v: int) -> Optional[in
     """Eccentricity of ``v`` in G[members], or None if a BFS from ``v``
     inside ``members`` visits fewer than ``len(members)`` vertices."""
     members = {int(u) for u in members}
-    _verts, levels, _ = bfs_within(g, members, [v])
+    _verts, levels = bfs_within(g, members, [v])
     if int(np.count_nonzero(levels >= 0)) != len(members):
         return None
     return int(levels.max())

@@ -3,16 +3,14 @@ around many seed sets until a common hub vertex appears, chain recovery from
 the balls' round records, distance-based trimming, and two-phase path
 routing that enters a target set exactly once.
 
-Everything here is deterministic; all tie-breaks are by smallest vertex id.
+Everything here is deterministic; all tie-breaks are by smallest vertex id,
+and every chain and path is read off BFS levels by :func:`graph.walk_down`.
 The balls of a hub round grow together, bit-parallel: ball k owns bit k of a
 per-vertex word (more words beyond 64 balls), and one round advances every
-ball by one BFS layer.  A round whose frontier rows hold under an eighth of
-the graph's 2m row entries pushes (it gathers those rows, sorts the
-neighbors they reach and ORs each one's words in one
-``bitwise_or.reduceat``); any other round pulls (every row ORs its
-neighbors' frontier words in one ``bitwise_or.reduceat``), following
-Beamer, Asanović and Patterson's direction-optimizing BFS (SC 2012) and Then
-et al.'s multi-source BFS (PVLDB 2014).  Every ball reaches the vertices, at
+ball by one BFS layer with :func:`graph.multi_step`, which pushes from a
+small frontier and pulls over every row otherwise, following Beamer,
+Asanović and Patterson's direction-optimizing BFS (SC 2012) and Then et
+al.'s multi-source BFS (PVLDB 2014).  Every ball reaches the vertices, at
 the levels, that a BFS of that ball alone would.  Scaffold paths and
 trimming run on :func:`graph.bfs_within`, whose cost follows the scaffold,
 not n.
@@ -27,15 +25,16 @@ import numpy as np
 from .graph import (
     Graph,
     Path,
-    _gather,
     _mask,
-    _pull,
+    _or_by_vertex,
     _pull_rows,
     bfs_parents,  # unused here; kept so the benchmark's tracer can wrap routing.bfs_parents
     bfs_within,
     first_exit_within,
+    multi_step,
     reached_in_order,
-    trace_path,
+    walk_down,
+    within_levels,
 )
 
 
@@ -83,7 +82,7 @@ class BallFamily:
         self.coverage = np.zeros(g.n, dtype=np.int16)
         self.sizes = dict.fromkeys(self.indices, 0)
         self._rounds = []
-        self._rows = None
+        self._rows = _pull_rows(g)
         self._frontier = _or_by_vertex(np.concatenate(seeds), np.concatenate(words, axis=1))
         self._add(*self._frontier)
         self.radius = 0
@@ -110,34 +109,15 @@ class BallFamily:
             self._rounds.append((new.astype(np.int32), fresh, None))
 
     def grow_round(self) -> bool:
-        """Advance every ball by one BFS layer.  True if any grew.
-
-        A round pushes when the frontier's rows hold under an eighth of the
-        graph's 2m row entries: it gathers those rows, sorts the neighbors
-        they reach and ORs each one's words.  Otherwise it pulls
-        (:func:`graph._pull`): every row ORs its neighbors' frontier words
-        in one ``bitwise_or.reduceat``.
-        """
-        g = self.g
+        """Advance every ball by one BFS layer (:func:`graph.multi_step`).
+        True if any grew."""
         verts, words = self._frontier
         if not len(verts):
             return False
-        volume = int((g._indptr[verts + 1] - g._indptr[verts]).sum())
-        if 8 * volume < len(g._indices):
-            flat, counts = _gather(g, verts)
-            pushed = np.repeat(words, counts, axis=1) & ~np.take(self._closed, flat, axis=1)
-            keep = pushed.any(axis=0)
-            new, fresh = _or_by_vertex(flat[keep], pushed[:, keep])
-        else:
-            if self._rows is None:
-                self._rows = _pull_rows(g)
-            frontier = np.zeros_like(self._closed)
-            frontier[:, verts] = words
-            new, fresh = _pull(g, self._rows, frontier, self._closed)
-        self._frontier = (new, fresh)
-        if not len(new):
+        self._frontier = multi_step(self.g, self._rows, verts, words, self._closed)
+        if not len(self._frontier[0]):
             return False
-        self._add(new, fresh)
+        self._add(*self._frontier)
         self.radius += 1
         return True
 
@@ -177,17 +157,6 @@ class BallFamily:
 
     def covered_indices(self, v: int) -> list:
         return [i for i in self.indices if self.level_at(i, v) >= 0]
-
-
-def _or_by_vertex(targets: np.ndarray, words: np.ndarray) -> tuple:
-    """The distinct ``targets``, ascending, and the OR of each one's words:
-    one sort, then one ``bitwise_or.reduceat`` over each target's run."""
-    if not len(targets):
-        return targets, words
-    order = np.argsort(targets)
-    targets = targets[order]
-    starts = np.flatnonzero(np.diff(targets, prepend=targets[:1] - 1))
-    return targets[starts], np.bitwise_or.reduceat(words[:, order], starts, axis=1)
 
 
 def _bit_rows(words: np.ndarray, count: int) -> np.ndarray:
@@ -240,25 +209,14 @@ def grow_balls_to_common_hub(
 def backtrack_chain(fam: BallFamily, i, end: int) -> list:
     """Walk ball ``i`` of ``fam`` from ``end`` down to a level-0 seed.
 
-    Returns the chain ``[seed, ..., end]``; at each step the smallest-id
-    neighbor one level down is taken, so chains are deterministic.  Each step
-    reads one round's record at one neighbor row, so a chain costs what its
-    rows hold, not n.
+    Returns the chain ``[seed, ..., end]`` by :func:`graph.walk_down` over
+    the ball's round records, so chains are deterministic and a chain costs
+    what its rows hold, not n.
     """
-    end = int(end)
     r = fam.level_at(i, end)
     if r < 0:
         raise ValueError("end vertex not reached by this ball")
-    chain = [end]
-    while r > 0:
-        row = fam.g.neighbors(chain[-1])
-        down = np.flatnonzero(fam.reached_at(i, r - 1, row))
-        if not len(down):
-            raise ValueError("broken ball records")
-        chain.append(int(row[down[0]]))
-        r -= 1
-    chain.reverse()
-    return chain
+    return walk_down(fam.g, end, r, lambda r, ids: fam.reached_at(i, r, ids))
 
 
 def trim_to_size(g: Graph, members, center: int, size: int) -> frozenset:
@@ -273,7 +231,7 @@ def trim_to_size(g: Graph, members, center: int, size: int) -> frozenset:
         raise ValueError("center not in set")
     if size < 1:
         raise ValueError("size must be positive")
-    verts, levels, _ = bfs_within(g, members, [center])
+    verts, levels = bfs_within(g, members, [center])
     ranked = verts[reached_in_order(levels)]
     if len(ranked) < size:
         raise ValueError("set too small to trim to requested size")
@@ -300,16 +258,17 @@ def entry_path(
     source = int(source)
     if source in target_set:
         return path_through_scaffold(g, target_set, source, target_center)
-    verts, levels, parents = bfs_within(g, scaffold - target_set, [source])
+    verts, levels = bfs_within(g, scaffold - target_set, [source])
     entry = first_exit_within(g, verts, levels, target_set)
     if entry is None:
         return None
-    _r, u, w = entry
-    outside = verts[trace_path(parents, int(np.searchsorted(verts, u)))]
+    r, u, w = entry
+    level_of = within_levels(verts, levels)
+    outside = walk_down(g, u, r, lambda r, ids: level_of(ids) == r)
     inside = path_through_scaffold(g, target_set, w, target_center)
     if inside is None:
         return None
-    verts = tuple(outside.tolist()) + tuple(inside.vertices)
+    verts = tuple(outside) + tuple(inside.vertices)
     if max_len is not None and len(verts) - 1 > max_len:
         return None
     return Path(verts)
@@ -319,8 +278,9 @@ def path_through_scaffold(g: Graph, scaffold, src: int, dst: int) -> Optional[Pa
     """Shortest path from src to dst using only scaffold vertices (the
     endpoints are always allowed); None if there is none."""
     dst = int(dst)
-    verts, levels, parents = bfs_within(g, {int(v) for v in scaffold} | {dst}, [src], target=dst)
-    end = int(np.searchsorted(verts, dst))
-    if levels[end] < 0:
+    verts, levels = bfs_within(g, {int(v) for v in scaffold} | {dst}, [src], target=dst)
+    level_of = within_levels(verts, levels)
+    r = int(level_of(dst))
+    if r < 0:
         return None
-    return Path(tuple(verts[trace_path(parents, end)].tolist()))
+    return Path(tuple(walk_down(g, dst, r, lambda r, ids: level_of(ids) == r)))

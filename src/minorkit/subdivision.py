@@ -47,7 +47,7 @@ from .graph import (
     first_exit_on_map,
     neighbor_counts,
     reached_in_order,
-    trace_path,
+    walk_down,
 )
 from .minor import (
     PipelineResult,
@@ -474,10 +474,8 @@ def _probe_corner_balls(h, w, x, state, centers, d):
     balls = {}
     for i in state.indices:
         v = centers[i]
-        levels, parents = bfs_parents(h, [v], avoid=base_avoid - {v}, radius=d.l,
-                                      stop_size=size_budget)
-        balls[i] = (levels, parents)
-        exits[i] = first_exit_on_map(levels, exits_into, max_level=d.l - 1)
+        balls[i] = bfs_parents(h, [v], avoid=base_avoid - {v}, radius=d.l, stop_size=size_budget)
+        exits[i] = first_exit_on_map(balls[i], exits_into, max_level=d.l - 1)
     return exits, balls
 
 
@@ -516,10 +514,10 @@ def _sparse_q_step(h, w, state, centers, exits, balls, beta, d, need):
 def _route_exit(h, w, state, centers, exits, balls, i, b, taken, d):
     # the probe's exit still stands if it leads to b and its ball meets no
     # path taken this step (bhubs, and so the exit targets, are unchanged)
-    levels, parents = balls[i]
+    levels = balls[i]
     ex = exits[i]
     if ex is not None and ex[2] == b and not any(levels[u] >= 0 for u in taken):
-        return Path(tuple(trace_path(parents, ex[1])) + (b,))
+        return Path(tuple(walk_down(h, ex[1], ex[0], lambda r, ids: levels[ids] == r)) + (b,))
     v = centers[i]
     avoid = state.used(w) | taken | {centers[j] for j in state.indices}
     avoid.discard(v)
@@ -532,13 +530,13 @@ def _path_to_neighbor(h, v, avoid, b, radius):
     smallest (level, id) within ``radius``, then on to ``b``; None if none.
 
     Once a layer reaches a neighbor of ``b``, later layers change neither
-    that neighbor nor its parent chain, so the BFS stops after that layer.
+    that neighbor nor the levels below it, so the BFS stops after that layer.
     """
-    levels, parents = bfs_parents(h, [v], avoid=avoid, radius=radius, target=h.neighbors(b))
+    levels = bfs_parents(h, [v], avoid=avoid, radius=radius, target=h.neighbors(b))
     ex = first_exit(h, levels, [b])
     if ex is None:
         return None
-    return Path(tuple(trace_path(parents, ex[1])) + (b,))
+    return Path(tuple(walk_down(h, ex[1], ex[0], lambda r, ids: levels[ids] == r)) + (b,))
 
 
 def _sparse_p_step(h, w, state, centers, pockets, balls, case2, alpha, d, p, thr, need):
@@ -550,8 +548,7 @@ def _sparse_p_step(h, w, state, centers, pockets, balls, case2, alpha, d, p, thr
         )
     tsets = {}
     for i in case2:
-        levels, _parents = balls[i]
-        tsets[i] = frozenset(reached_in_order(levels)[:thr].tolist())
+        tsets[i] = frozenset(reached_in_order(balls[i])[:thr].tolist())
     # each trimmed ball starts with its own corner, so the corners leave too
     avoid = state.used(w) - set().union(*tsets.values())
     hub, covered, fam = grow_balls_to_common_hub(
@@ -697,10 +694,10 @@ def _route_unit_hub_path(h, units, trimmed, fam, i, alpha, hub, taken, avoid_ext
             if path.length <= 2 * d.k:
                 return path
     avoid = (set(avoid_extra) - own) | (taken - {hub})
-    lv, pr = bfs_parents(h, [center], avoid=avoid, target=hub)
+    lv = bfs_parents(h, [center], avoid=avoid, target=hub)
     if lv[hub] < 0:
         return None
-    path = Path(tuple(trace_path(pr, hub)))
+    path = Path(tuple(walk_down(h, hub, lv[hub], lambda r, ids: lv[ids] == r)))
     if path.length > 2 * d.k:
         return None
     return path

@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .generate import GeneratorSpec, generate
@@ -56,10 +56,9 @@ class ExperimentRecord:
     k: Optional[int] = None
     search_budget_exhausted: Optional[bool] = None  # None when no extraction ran
     detail: str = ""
-    witness: Optional[dict] = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "spec": self.spec.to_json_dict(),
             "t": self.t,
             "epsilon": self.epsilon,
@@ -78,9 +77,6 @@ class ExperimentRecord:
             "search_budget_exhausted": self.search_budget_exhausted,
             "detail": self.detail,
         }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
 
     def csv_row(self) -> list:
         s = self.spec
@@ -102,7 +98,6 @@ def run_one(
     mode: str = "minor",
     stop_floor: int = 32,
     budget_ops: Optional[int] = None,
-    keep_witness: bool = False,
 ) -> ExperimentRecord:
     if mode not in SWEEP_MODES:
         raise ValueError(f"unknown sweep mode {mode!r}")
@@ -139,8 +134,6 @@ def run_one(
             record.witness_size = model.total_vertices
             if record.log_n > 0:
                 record.ratio = model.total_vertices / record.log_n
-            if keep_witness:
-                record.witness = model.to_json_dict()
         else:
             # the pipeline certified this witness itself, so a rejection here
             # means the two checks disagree: a bug, not a stall
@@ -160,15 +153,12 @@ def run_experiment_sweep(
     mode: str = "minor",
     stop_floor: int = 32,
     budget_ops: Optional[int] = None,
-    keep_witness: bool = False,
 ) -> list:
     """Run the chosen pipeline for every spec; per-spec failures never abort the sweep."""
     records = []
     for spec in specs:
         try:
-            records.append(
-                run_one(spec, t, epsilon, mode, stop_floor, budget_ops, keep_witness)
-            )
+            records.append(run_one(spec, t, epsilon, mode, stop_floor, budget_ops))
         except Exception as exc:  # noqa: BLE001 - a bug or bad spec is an error, not a stall
             records.append(
                 ExperimentRecord(

@@ -7,7 +7,7 @@ import pytest
 
 from minorkit import GeneratorSpec, Graph, generate, girth
 
-from conftest import complete_graph, cycle_graph, path_graph, petersen_graph
+from conftest import complete_graph, cycle_graph, path_graph, petersen_graph, random_tree
 
 
 class TestSpecs:
@@ -18,6 +18,26 @@ class TestSpecs:
     def test_file_family_needs_path(self):
         with pytest.raises(ValueError):
             GeneratorSpec(family="file")
+
+    @pytest.mark.parametrize("spec,message", [
+        (dict(family="grid_torus", n=2**32), "outside 1..2147483647"),
+        (dict(family="gnp_avg_degree", n=2**31, param=4.0), "outside 1..2147483647"),
+        (dict(family="dense_blobs", n=10, param=0.5, blob_count=10**9), "outside 1..n = 10"),
+        (dict(family="dense_blobs", n=10, param=0.5, blob_count=0), "blob_count = 0 outside"),
+        (dict(family="random_regular", n=0, param=3), "n = 0 outside"),
+    ])
+    def test_out_of_range_spec_rejected(self, spec, message):
+        # only the specs are built: a generator never sees these values
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec(**spec)
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec.from_json_dict(spec)
+
+    def test_largest_specs_accepted(self):
+        assert GeneratorSpec(family="grid_torus", n=2**31 - 1).n == 2**31 - 1
+        assert GeneratorSpec(family="dense_blobs", n=10, param=0.5, blob_count=10).blob_count == 10
+        # blob_count belongs to dense_blobs alone
+        assert GeneratorSpec(family="gnp_avg_degree", n=10, blob_count=0).blob_count == 0
 
     def test_json_round_trip(self):
         spec = GeneratorSpec(family="dense_blobs", n=100, param=0.5, blob_count=4, seed=9)
@@ -123,6 +143,18 @@ class TestGirth:
                     edges.add((min(u, v), max(u, v)))
             g = Graph(n, edges)
             assert girth(g) == girth_reference(g), sorted(edges)
+
+
+    def test_matches_loop_reference_on_tori_cycles_and_trees(self):
+        # tori have even girth 4 (3 at side 3) and many vertices with two
+        # neighbors one layer down, odd cycles only an edge inside a layer,
+        # trees neither
+        graphs = [generate(GeneratorSpec(family="grid_torus", n=side * side), with_girth=False).graph
+                  for side in range(3, 9)]
+        graphs += [cycle_graph(n) for n in range(3, 42, 2)]
+        graphs += [random_tree(n, seed) for n in (1, 2, 7, 30) for seed in range(3)]
+        for g in graphs:
+            assert girth(g) == girth_reference(g), g
 
 
 def girth_reference(g):

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minorkit import (
+    GeneratorSpec,
     Graph,
     Path,
     average_degree,
+    generate,
     induced_subgraph,
     neighborhood,
     parse_graph_text,
@@ -31,7 +33,8 @@ from minorkit.graph import (
     is_connected_set,
     neighbor_counts,
     to_edge_list_text,
-    trace_path,
+    walk_down,
+    within_levels,
 )
 
 from conftest import complete_graph, cycle_graph, path_graph, petersen_graph, random_tree, star_graph
@@ -552,6 +555,15 @@ def bfs_parents_reference(g, seeds, avoid=(), radius=None, target=None, allowed=
     return levels, parents
 
 
+def parent_chain(parents, end):
+    """The path ``[seed, ..., end]`` that a reference's parent map (a dict or
+    an array, -1 at the seeds) gives."""
+    chain = [int(end)]
+    while parents[chain[-1]] != -1:
+        chain.append(int(parents[chain[-1]]))
+    return chain[::-1]
+
+
 # first_exit as it was before its three min-reductions: one lexsort of the
 # (level, u, w) triples over the targets' rows
 def first_exit_lexsort_reference(g, levels, targets, max_level=None):
@@ -589,19 +601,19 @@ class TestBfsKernel:
         radius = data.draw(st.none() | st.integers(0, 6))
         target = data.draw(st.none() | vertex | st.lists(vertex, max_size=4))
         stop_size = data.draw(st.none() | st.integers(1, n))
-        levels, parents = bfs_parents(
+        levels = bfs_parents(
             g, seeds, avoid=avoid, radius=radius, stop_size=stop_size,
             target=np.array(target, dtype=np.int32) if isinstance(target, list) else target)
         ref_levels, ref_parents = bfs_parents_reference(
             g, seeds, avoid=avoid, radius=radius, target=target, stop_size=stop_size)
         assert {v: int(levels[v]) for v in np.flatnonzero(levels >= 0)} == ref_levels
-        assert {v: int(parents[v]) for v in ref_levels} == ref_parents
+        # the path read down the levels is the reference's parent chain
+        for v in ref_levels:
+            assert (walk_down(g, v, levels[v], lambda r, ids: levels[ids] == r)
+                    == parent_chain(ref_parents, v))
         plain = bfs_levels(g, seeds, avoid=avoid, radius=radius, stop_size=stop_size)
         ref_plain, _ = bfs_parents_reference(g, seeds, avoid=avoid, radius=radius, stop_size=stop_size)
         assert {v: int(plain[v]) for v in np.flatnonzero(plain >= 0)} == ref_plain
-        for v in ref_levels:
-            assert trace_path(parents, v)[0] in seeds
-            assert len(trace_path(parents, v)) == ref_levels[v] + 1
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 40), st.floats(0.5, 10.0), st.integers(0, 10**6), st.data())
@@ -613,15 +625,15 @@ class TestBfsKernel:
         members = data.draw(st.sets(vertex))
         seeds = data.draw(st.sets(vertex, min_size=1, max_size=3))
         target = data.draw(st.none() | st.sampled_from(sorted(members | seeds)))
-        verts, levels, parents = bfs_within(g, members, seeds, target=target)
+        verts, levels = bfs_within(g, members, seeds, target=target)
         ref_levels, ref_parents = bfs_parents_reference(g, seeds, target=target, allowed=members)
         assert verts.tolist() == sorted(members | seeds)
         assert {int(verts[j]): int(levels[j]) for j in np.flatnonzero(levels >= 0)} == ref_levels
-        assert {int(verts[j]): int(verts[parents[j]]) if parents[j] >= 0 else -1
-                for j in np.flatnonzero(levels >= 0)} == ref_parents
-        assert (parents[levels < 0] == -1).all()
-        for j in np.flatnonzero(levels >= 0):
-            assert int(verts[trace_path(parents, j)[0]]) in seeds
+        level_of = within_levels(verts, levels)
+        assert level_of(np.arange(n)).tolist() == [ref_levels.get(v, -1) for v in range(n)]
+        for v in ref_levels:
+            assert (walk_down(g, v, ref_levels[v], lambda r, ids: level_of(ids) == r)
+                    == parent_chain(ref_parents, v))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 40), st.floats(0.5, 8.0), st.integers(0, 10**6), st.data())
@@ -631,11 +643,11 @@ class TestBfsKernel:
         g = random_graph(n, avg_degree, seed)
         members = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
         v = data.draw(st.integers(0, n - 1))
-        levels, _ = _bfs(g, [v], ~_mask(n, members))
+        levels = _bfs(g, [v], ~_mask(n, members))
         reached = int(np.count_nonzero(levels >= 0))
         assert eccentricity_within(g, members, v) == (
             int(levels.max()) if reached == len(members) else None)
-        levels, _ = _bfs(g, [min(members)], ~_mask(n, members))
+        levels = _bfs(g, [min(members)], ~_mask(n, members))
         assert is_connected_set(g, members) == (int(np.count_nonzero(levels >= 0)) == len(members))
 
     @settings(max_examples=100, deadline=None)
@@ -645,7 +657,7 @@ class TestBfsKernel:
         source = data.draw(st.integers(0, n - 1))
         targets = data.draw(st.sets(st.integers(0, n - 1))) - {source}
         max_level = data.draw(st.none() | st.integers(0, 4))
-        levels, _ = bfs_parents(g, [source], avoid=targets)
+        levels = bfs_parents(g, [source], avoid=targets)
         expected = None
         for u in sorted(np.flatnonzero(levels >= 0).tolist(), key=lambda u: (int(levels[u]), u)):
             hits = [int(w) for w in g.neighbors(u) if int(w) in targets]
@@ -666,7 +678,7 @@ class TestBfsKernel:
         avoid = data.draw(st.sets(vertex, max_size=n // 2))
         source = data.draw(vertex.filter(lambda v: v not in avoid))
         max_level = data.draw(st.none() | st.integers(0, 4))
-        levels, _ = bfs_parents(g, [source], avoid=avoid)
+        levels = bfs_parents(g, [source], avoid=avoid)
         exits = exit_map(g, targets)
         assert exits.tolist() == [
             min((int(w) for w in g.neighbors(v) if int(w) in targets), default=-1) for v in range(n)]
@@ -697,6 +709,17 @@ class TestBfsKernel:
         for v, got in zip(seeds, sizes):
             levels = bfs_levels(g, [v])
             assert got.tolist() == np.bincount(levels[levels >= 0]).tolist()
+
+    @pytest.mark.parametrize("side,count", [(16, 70), (40, 130)])
+    def test_layer_sizes_on_torus(self, side, count):
+        # a torus's frontiers stay small for many layers, so a chunk of few
+        # seeds pushes and a chunk of 64 soon pulls; repeated seeds included
+        g = generate(GeneratorSpec(family="grid_torus", n=side * side), with_girth=False).graph
+        rng = random.Random(side)
+        seeds = [rng.randrange(g.n) for _ in range(count)]
+        for v, got in zip(seeds, bfs_layer_sizes(g, seeds)):
+            levels = bfs_levels(g, [v])
+            assert got.tolist() == np.bincount(levels).tolist()
 
     def test_seed_inside_avoid_errors(self):
         with pytest.raises(ValueError, match="avoid"):

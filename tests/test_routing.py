@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minorkit import GeneratorSpec, Graph, Path, generate
-from minorkit.graph import _bfs, _layer_step, _mask, first_exit, reached_in_order, trace_path
+from minorkit.graph import _layer_step, _mask, first_exit, reached_in_order
 from minorkit.routing import (
     BallFamily,
     backtrack_chain,
@@ -19,6 +19,8 @@ from minorkit.routing import (
     path_through_scaffold,
     trim_to_size,
 )
+
+from test_graph import bfs_parents_reference, parent_chain
 
 
 # the per-ball family that the bit-parallel one replaced: each ball keeps its
@@ -53,7 +55,7 @@ class BallFamilyReference:
             frontier = self.frontiers[i]
             if not len(frontier):
                 continue
-            new, _ = _layer_step(self.g, frontier, self.levels[i], self._blocked[i])
+            new = _layer_step(self.g, frontier, self.levels[i], self._blocked[i])
             self.levels[i][new] = self.radius + 1
             self.coverage[new] += 1
             self.frontiers[i] = new
@@ -252,16 +254,23 @@ class TestBallFamily:
 
 
 # the scaffold routines as they ran on bfs_parents(allowed=...), a whole-graph
-# BFS whose blocked mask is every vertex outside the allowed set
+# BFS through the allowed set only, here on the loop reference: level and
+# parent arrays, -1 where unreached and at the seeds
 def bfs_allowed(g, seeds, allowed, target=None):
-    return _bfs(g, seeds, ~_mask(g.n, allowed), target=target, parents=True)
+    ref_levels, ref_parents = bfs_parents_reference(g, seeds, target=target, allowed=set(allowed))
+    levels = np.full(g.n, -1, dtype=np.int32)
+    parents = np.full(g.n, -1, dtype=np.int64)
+    for v, r in ref_levels.items():
+        levels[v] = r
+        parents[v] = ref_parents[v]
+    return levels, parents
 
 
 def path_through_scaffold_reference(g, scaffold, src, dst) -> Optional[Path]:
     levels, parents = bfs_allowed(g, [src], set(scaffold) | {src, dst}, target=dst)
     if levels[dst] < 0:
         return None
-    return Path(tuple(trace_path(parents, dst)))
+    return Path(tuple(parent_chain(parents, dst)))
 
 
 def entry_path_reference(g, scaffold, source, target_set, target_center, max_len=None):
@@ -275,7 +284,7 @@ def entry_path_reference(g, scaffold, source, target_set, target_center, max_len
     inside = path_through_scaffold_reference(g, target_set, w, target_center)
     if inside is None:
         return None
-    verts = tuple(trace_path(parents, u)) + tuple(inside.vertices)
+    verts = tuple(parent_chain(parents, u)) + tuple(inside.vertices)
     if max_len is not None and len(verts) - 1 > max_len:
         return None
     return Path(verts)

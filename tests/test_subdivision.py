@@ -27,7 +27,7 @@ from minorkit import (
     verify_subdivision,
     verify_unit,
 )
-from minorkit.graph import bfs_parents, first_exit, trace_path
+from minorkit.graph import bfs_parents, first_exit
 from minorkit.subdivision import (
     CASE_SPARSE,
     CASE_STARS,
@@ -41,6 +41,7 @@ from minorkit.subdivision import (
 )
 
 from conftest import blobs, complete_graph, gnp, regular, star_graph
+from test_graph import bfs_parents_reference, parent_chain
 
 
 def sub_params(t, n, delta=1 / 3):
@@ -328,9 +329,11 @@ class TestSparseRouteArrays:
         if data.draw(st.booleans()):
             avoid |= {b}  # as on the sparse route, where b lies in x
         radius = data.draw(st.integers(0, 5))
-        levels, parents = bfs_parents(g, [v], avoid=avoid, radius=radius)
+        ref_levels, ref_parents = bfs_parents_reference(g, [v], avoid=avoid, radius=radius)
+        levels = np.full(n, -1, dtype=np.int32)
+        levels[list(ref_levels)] = list(ref_levels.values())
         ex = first_exit(g, levels, [b])
-        expected = None if ex is None else Path(tuple(trace_path(parents, ex[1])) + (b,))
+        expected = None if ex is None else Path(tuple(parent_chain(ref_parents, ex[1])) + (b,))
         assert _path_to_neighbor(g, v, avoid, b, radius) == expected
 
 

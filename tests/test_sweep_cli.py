@@ -151,6 +151,21 @@ class TestCli:
         assert meta["girth"] == 4
         assert out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["gen", "--family", "grid_torus", "--n", "4294967296"], "outside 1..2147483647"),
+        (["gen", "--family", "dense_blobs", "--n", "10", "--param", "0.5",
+          "--blob-count", "1000000000"], "blob_count = 1000000000 outside 1..n = 10"),
+        (["sweep", "--family", "grid_torus", "--ns", "4294967296", "--t", "3"], "outside 1..2147483647"),
+        (["sweep", "--family", "dense_blobs", "--ns", "10", "--param", "0.5",
+          "--blob-count", "1000000000", "--t", "3"], "blob_count = 1000000000 outside 1..n = 10"),
+    ])
+    def test_out_of_range_spec_exits_one(self, tmp_path, capsys, argv, message):
+        # the spec rejects these before a generator allocates for n or per blob
+        out = tmp_path / "g.txt"
+        assert main(argv + (["--out", str(out)] if argv[0] == "gen" else [])) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_determinism_flag_combo(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         for out in (a, b):
