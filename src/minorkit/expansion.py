@@ -303,8 +303,13 @@ def find_violating_set(
     |N(S)| < delta/(20 (log log 4|S|)^2) |S|.  Exhaustive over all subsets for
     m <= 18 (a violating set need not be connected); above that a budgeted
     heuristic sweep: BFS-layer cuts from a deterministic seed schedule plus a
-    greedy low-boundary local search.  Returns None when nothing is found, in
-    which case the graph is treated as an empirical expander.  When the
+    greedy low-boundary local search from the first 8 seeds.  The local
+    searches run only when some size up to min(m^(1-eta), 96) violates with a
+    one-vertex boundary, since a connected set with an empty boundary is a
+    component the layer sweep has already priced (see
+    :func:`_heuristic_violator`); with the pipelines' delta of at most 1/2
+    none does, so they never run there.  Returns None when nothing is found,
+    in which case the graph is treated as an empirical expander.  When the
     heuristic sweep runs and a ``report`` dict is given, it sets
     ``report["budget_exhausted"]``: whether the work budget ended the sweep
     before every seed was tried.
@@ -366,6 +371,16 @@ def _heuristic_violator(h: Graph, cap: int, violation, budget_ops) -> tuple:
     ``budget_exhausted`` is True when the budget ran out before every seed
     was tried.  The layer sizes of all seeds come from one bit-parallel
     batch; the loop then spends and checks seed by seed, in schedule order.
+
+    ``violation(size, nb_size)`` must be pure and monotone in ``nb_size``
+    (a violation at some boundary size is one at every smaller size), as
+    :func:`find_violating_set`'s closure is.  A local search is then skipped
+    when it cannot succeed: no size it reaches violates with a one-vertex
+    boundary, and it cannot reach all m vertices.  It grows a connected set,
+    so a set with an empty boundary is its seed's whole component, whose cut
+    the sweep has already priced with ``violation(size, 0)``.  A skipped
+    search still counts its try and its full share of the budget, so the
+    budget and every later seed see the same work as when it runs.
     """
     m = h.n
     budget = budget_ops if budget_ops is not None else DEFAULT_BUDGET_OPS
@@ -374,6 +389,9 @@ def _heuristic_violator(h: Graph, cap: int, violation, budget_ops) -> tuple:
     order = np.argsort(degs, kind="stable").tolist()  # by (degree, id)
     stride = max(1, m // 24)
     seeds = list(dict.fromkeys(order[:16] + order[-4:] + list(range(0, m, stride))))
+    size_cap_local = min(cap, _LOCAL_SEARCH_SIZE)
+    local_can_find = size_cap_local >= m or any(
+        violation(size, 1) is not None for size in range(2, size_cap_local + 1))
     local_tries = 0
     for v, counts in zip(seeds, bfs_layer_sizes(h, seeds)):
         if spent >= budget:
@@ -398,11 +416,11 @@ def _heuristic_violator(h: Graph, cap: int, violation, budget_ops) -> tuple:
                 return FindDenseQuery(gamma=gamma, s=frozenset(members.tolist())), False
         if local_tries < _LOCAL_SEARCH_SEEDS:
             local_tries += 1
-            size_cap_local = min(cap, _LOCAL_SEARCH_SIZE)
             local_budget = min(budget - spent, _LOCAL_SEARCH_OPS)
-            q = _local_search(h, v, cap, size_cap_local, violation, local_budget)
-            if q is not None:
-                return q, False
+            if local_can_find:
+                q = _local_search(h, v, cap, size_cap_local, violation, local_budget)
+                if q is not None:
+                    return q, False
             spent += local_budget
     return None, False
 

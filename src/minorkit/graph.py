@@ -302,12 +302,24 @@ def bfs_layer_sizes(g: Graph, seeds: Sequence[int]) -> list:
             if not len(verts):
                 break
             closed[:, verts] |= words
-            bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
-            sizes.append(bits.reshape(-1, 64)[:, :len(chunk)].sum(axis=0, dtype=np.int64))
+            sizes.append(_bit_counts(words[0], len(chunk)))
         # a seed's sizes are non-zero up to its last layer and zero after it
         for col in np.array(sizes).T:
             out.append(col[:np.count_nonzero(col)])
     return out
+
+
+# row v holds the 8 bits of the byte v, lowest first
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(np.int64)
+
+
+def _bit_counts(words: np.ndarray, bits: int) -> np.ndarray:
+    """For each of the low ``bits`` bits, how many ``uint64`` words set it:
+    one ``bincount`` per byte, mapped through the byte-to-bits table."""
+    by_byte = words.astype("<u8").view(np.uint8).reshape(-1, 8)
+    nbytes = -(-bits // 8)
+    hist = np.stack([np.bincount(by_byte[:, j], minlength=256) for j in range(nbytes)])
+    return (hist @ _BYTE_BITS).reshape(-1)[:bits]
 
 
 def _pull_rows(g: Graph) -> np.ndarray:
@@ -339,7 +351,8 @@ def multi_step(g: Graph, rows: np.ndarray, verts: np.ndarray, words: np.ndarray,
         return _or_by_vertex(flat[keep], pushed[:, keep])
     frontier = np.zeros_like(closed)
     frontier[:, verts] = words
-    pulled = np.bitwise_or.reduceat(frontier[:, g._indices], g._indptr[rows], axis=1)
+    gathered = np.take(frontier, g._indices, axis=1)  # faster than frontier[:, g._indices]
+    pulled = np.bitwise_or.reduceat(gathered, g._indptr[rows], axis=1)
     pulled &= ~np.take(closed, rows, axis=1)
     hit = np.flatnonzero(pulled.any(axis=0))
     return rows[hit], np.take(pulled, hit, axis=1)
@@ -366,15 +379,21 @@ def bfs_parents(
 ) -> np.ndarray:
     """Layered BFS levels for a path search, which :func:`walk_down` reads.
 
-    If ``target`` is given the search stops once it is reached, or for an
-    array of vertices once any of them is (after finishing the layer);
+    ``avoid`` is the vertices the search may not enter: vertex ids, or a
+    prebuilt length-n boolean mask, which is read as it is and never copied
+    or changed, so many searches can share one.  Seeds are visited even
+    when they are avoided.  If ``target`` is given the search stops once it
+    is reached, or for an array of vertices once any of them is (after
+    finishing the layer);
     ``stop_size`` stops growth once that many vertices are visited (layers
     are never truncated mid-way).  Returns ``int32`` levels with -1 for
     unreached vertices, as :func:`bfs_levels` does; the name stays because
     ``perfbench/tracer.py`` times path searches under it.  A search confined
     to a small vertex set is :func:`bfs_within`'s job.
     """
-    return _bfs(g, seeds, _mask(g.n, avoid), radius=radius, stop_size=stop_size, target=target)
+    if not (isinstance(avoid, np.ndarray) and avoid.dtype == bool):
+        avoid = _mask(g.n, avoid)
+    return _bfs(g, seeds, avoid, radius=radius, stop_size=stop_size, target=target)
 
 
 def bfs_within(g: Graph, members: Iterable[int], seeds: Iterable[int],

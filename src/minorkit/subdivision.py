@@ -39,6 +39,7 @@ from .expansion import (
 from .graph import (
     Graph,
     Path,
+    _mask,
     average_degree,
     bfs_levels,
     bfs_parents,
@@ -468,15 +469,20 @@ def _probe_corner_balls(h, w, x, state, centers, d):
     size_budget = 2 * log2m(h.n) + 32
     exits_into = exit_map(h, set(x) - set(state.bhubs))
     # corner balls stay clear of every other live corner so that
-    # boundary paths of different indices can never cross
-    base_avoid = state.used(w) | {centers[j] for j in state.indices}
+    # boundary paths of different indices can never cross; one mask serves
+    # every corner, since a BFS visits its own seed even when it is blocked
+    blocked = _blocked_mask(h, state, w, centers)
     exits = {}
     balls = {}
     for i in state.indices:
-        v = centers[i]
-        balls[i] = bfs_parents(h, [v], avoid=base_avoid - {v}, radius=d.l, stop_size=size_budget)
+        balls[i] = bfs_parents(h, [centers[i]], avoid=blocked, radius=d.l, stop_size=size_budget)
         exits[i] = first_exit_on_map(balls[i], exits_into, max_level=d.l - 1)
     return exits, balls
+
+
+def _blocked_mask(h, state, w, centers) -> np.ndarray:
+    """``state.used(w)`` and the live corners as one boolean mask."""
+    return _mask(h.n, state.used(w) | {centers[j] for j in state.indices})
 
 
 def _sparse_q_step(h, w, state, centers, exits, balls, beta, d, need):
@@ -493,13 +499,16 @@ def _sparse_q_step(h, w, state, centers, exits, balls, beta, d, need):
         )
     b = min(counts, key=lambda cand: (-counts[cand], cand))
     taken = set()
+    # what a re-routed path avoids: the probe's mask plus every path taken so far
+    blocked = _blocked_mask(h, state, w, centers)
     new_paths = {}
     for i in state.indices:
-        path = _route_exit(h, w, state, centers, exits, balls, i, b, taken, d)
+        path = _route_exit(h, balls[i], exits[i], centers[i], b, taken, blocked, d)
         if path is None:
             continue
         new_paths[(beta, i)] = path
         taken.update(path.vertices[:-1])
+        blocked[list(path.vertices[:-1])] = True
     if len(new_paths) < need:
         raise ConstructionStalled(
             f"corner-to-boundary step kept {len(new_paths)} survivors, need {need}",
@@ -511,18 +520,13 @@ def _sparse_q_step(h, w, state, centers, exits, balls, beta, d, need):
     state.drop_to(i for _beta, i in new_paths)
 
 
-def _route_exit(h, w, state, centers, exits, balls, i, b, taken, d):
+def _route_exit(h, levels, ex, v, b, taken, blocked, d):
     # the probe's exit still stands if it leads to b and its ball meets no
     # path taken this step (bhubs, and so the exit targets, are unchanged)
-    levels = balls[i]
-    ex = exits[i]
     if ex is not None and ex[2] == b and not any(levels[u] >= 0 for u in taken):
         return Path(tuple(walk_down(h, ex[1], ex[0], lambda r, ids: levels[ids] == r)) + (b,))
-    v = centers[i]
-    avoid = state.used(w) | taken | {centers[j] for j in state.indices}
-    avoid.discard(v)
     # an exit lies within radius l - 1, so the last layer is never needed
-    return _path_to_neighbor(h, v, avoid, b, d.l - 1)
+    return _path_to_neighbor(h, v, blocked, b, d.l - 1)
 
 
 def _path_to_neighbor(h, v, avoid, b, radius):

@@ -36,6 +36,7 @@ from minorkit.expansion import (
     DerivedScales,
     _heuristic_violator,
     _local_search,
+    small_set_rate,
 )
 from minorkit.graph import bfs_levels
 
@@ -302,18 +303,51 @@ def planted_cut_graphs(draw):
 
 class TestHeuristicViolator:
     @settings(max_examples=150, deadline=None)
-    @given(planted_cut_graphs(), st.floats(0.02, 1.5), st.data())
+    @given(planted_cut_graphs(), st.floats(1e-4, 1.5), st.data())
     def test_replay_matches_sequential_reference(self, h, rate, data):
+        # rates down to the pipelines' scale, where no local search can
+        # succeed and they are skipped, and small-set closures with delta up
+        # to 0.99, where only the small-set branch lets a one-vertex boundary
+        # violate; the reference always runs its local searches
         m = h.n
         cap = data.draw(st.integers(1, m))
+        small = data.draw(st.none() | st.tuples(st.integers(1, m), st.floats(0.01, 0.99)))
         budgets = [1, m, 5 * m, 20 * m, None, data.draw(st.integers(0, 700_000))]
 
         def violation(size, nb_size):
-            return rate if size <= cap and nb_size < rate * size else None
+            if size <= cap and nb_size < rate * size:
+                return rate
+            if small is not None:
+                cap3, delta = small
+                if size <= cap3 and nb_size < small_set_rate(size, delta) * size:
+                    return small_set_rate(size, delta)
+            return None
 
         for budget in budgets:
             got = _heuristic_violator(h, cap, violation, budget)
             assert got == heuristic_violator_reference(h, cap, violation, budget)
+
+    @pytest.mark.parametrize("cap3", [61, 70])
+    def test_small_set_only_violator_is_found_by_local_search(self, cap3):
+        # a 61-cycle whose even vertices meet a hub, which alone leads on to
+        # a 40-clique: every BFS ball takes in the hub long before the cycle,
+        # but the greedy local search from vertex 1 grows the whole cycle, a
+        # 61-set whose boundary is the hub.  Only the small-set rate counts
+        # that as a violation, and only at sizes below the search's cap of 96
+        edges = [(v, (v + 1) % 61) for v in range(61)] + [(v, 61) for v in range(0, 61, 2)]
+        edges += [(61, 62), (61, 63)] + list(combinations(range(62, 102), 2))
+        h = Graph(102, edges)
+
+        def violation(size, nb_size):
+            if size <= 101 and nb_size < 1e-4 * size:
+                return 1e-4
+            if size <= cap3 and nb_size < small_set_rate(size, 0.99) * size:
+                return small_set_rate(size, 0.99)
+            return None
+
+        got = _heuristic_violator(h, 101, violation, None)
+        assert got == heuristic_violator_reference(h, 101, violation, None)
+        assert got[0].s == frozenset(range(61))
 
     @settings(max_examples=60, deadline=None)
     @given(planted_cut_graphs())

@@ -615,6 +615,25 @@ class TestBfsKernel:
         ref_plain, _ = bfs_parents_reference(g, seeds, avoid=avoid, radius=radius, stop_size=stop_size)
         assert {v: int(plain[v]) for v in np.flatnonzero(plain >= 0)} == ref_plain
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.floats(0.5, 8.0), st.integers(0, 10**6), st.data())
+    def test_mask_avoid_matches_id_avoid(self, n, avg_degree, seed, data):
+        # the sparse route passes one mask that also blocks each corner's own
+        # seed; a seed is visited anyway, so the search is the one without it
+        g = random_graph(n, avg_degree, seed)
+        vertex = st.integers(0, n - 1)
+        v = data.draw(vertex)
+        avoid = data.draw(st.sets(vertex, max_size=n // 2)) | {v}
+        radius = data.draw(st.none() | st.integers(0, 6))
+        target = data.draw(st.none() | vertex)
+        stop_size = data.draw(st.none() | st.integers(1, n))
+        mask = _mask(n, avoid)
+        kwargs = dict(radius=radius, target=target, stop_size=stop_size)
+        levels = bfs_parents(g, [v], avoid=mask, **kwargs)
+        assert np.array_equal(levels, bfs_parents(g, [v], avoid=avoid, **kwargs))
+        assert np.array_equal(levels, bfs_parents(g, [v], avoid=avoid - {v}, **kwargs))
+        assert mask.tolist() == [u in avoid for u in range(n)]  # read, never changed
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 40), st.floats(0.5, 10.0), st.integers(0, 10**6), st.data())
     def test_bfs_within_matches_loop_reference(self, n, avg_degree, seed, data):

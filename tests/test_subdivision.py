@@ -27,6 +27,7 @@ from minorkit import (
     verify_subdivision,
     verify_unit,
 )
+from minorkit.expansion import DerivedScales
 from minorkit.graph import bfs_parents, first_exit
 from minorkit.subdivision import (
     CASE_SPARSE,
@@ -34,8 +35,10 @@ from minorkit.subdivision import (
     DegreeSplit,
     _ConnectState,
     _path_to_neighbor,
+    _probe_corner_balls,
     _rest_max_degree,
     _sparse_p_step,
+    _sparse_q_step,
     log2m,
     unit_set_size,
 )
@@ -384,6 +387,20 @@ class TestSparseUnits:
                            1, d, p, 3, 2)
         assert_hub_stall(err, ("p", 1), 1, 2)
         assert state.indices == [0, 1, 2, 3] and not state.paths
+
+    def test_q_step_reroute_avoids_paths_taken_earlier(self):
+        # corners 2 and 3 both exit through 1 into b = 0; corner 2 keeps its
+        # probe path 2-1-0, so corner 3's ball meets a taken vertex and it
+        # re-routes around it, 3-4-5-0, instead of crossing at 1
+        g = Graph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (5, 0)])
+        d = DerivedScales(f_m=0.1, k=10, l=3, m=6)
+        state = _ConnectState(indices=[0, 1])
+        centers = {0: 2, 1: 3}
+        exits, balls = _probe_corner_balls(g, {0}, {0}, state, centers, d)
+        assert exits == {0: (1, 1, 0), 1: (1, 1, 0)}
+        _sparse_q_step(g, {0}, state, centers, exits, balls, 1, d, 2)
+        assert state.qpaths == {(1, 0): Path((2, 1, 0)), (1, 1): Path((3, 4, 5, 0))}
+        assert state.bhubs == [0]
 
     def test_degree_violation_of_split_contract(self):
         g = complete_graph(60)
