@@ -2,20 +2,21 @@
 
 All randomness flows from ``numpy.random.PCG64`` (or, for the regular-graph
 pairing repair, Python's Mersenne Twister), both seeded from the spec's seed,
-so the same spec always yields the same edge set on every platform.
+so the same spec always yields the same edge set on every platform.  The
+pairing replays ``random.Random.shuffle``'s draws and swaps inline and pairs
+the shuffled stubs with array steps.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, _bfs, _gather, load_graph
+from .graph import Graph, _bfs, _first_of_runs, _gather, load_graph
 
 FAMILIES = ("gnp_avg_degree", "random_regular", "dense_blobs", "grid_torus", "file")
 
@@ -44,6 +45,10 @@ class GeneratorSpec:
             raise ValueError(f"n = {self.n} outside 1..{2**31 - 1}")
         elif self.family == "dense_blobs" and not 1 <= self.blob_count <= self.n:
             raise ValueError(f"blob_count = {self.blob_count} outside 1..n = {self.n}")
+        elif self.family == "random_regular" and not (float(self.param).is_integer() and self.param >= 0):
+            raise ValueError(f"regular degree {self.param} is not a whole number >= 0")
+        elif self.family == "gnp_avg_degree" and not self.param >= 0:
+            raise ValueError(f"average degree {self.param} is not >= 0")
 
     def label(self) -> str:
         if self.family == "file":
@@ -51,10 +56,7 @@ class GeneratorSpec:
         return f"{self.family}(n={self.n},param={self.param},blobs={self.blob_count},seed={self.seed})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family, "n": self.n, "param": self.param,
-            "blob_count": self.blob_count, "seed": self.seed, "path": self.path,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GeneratorSpec":
@@ -94,20 +96,17 @@ def generate(spec: GeneratorSpec, with_girth: bool = True) -> GeneratedGraph:
     )
 
 
-def _pair_from_linear(n: int, linear: np.ndarray) -> tuple:
-    """Invert upper-triangle pair indices: L -> (i, j) with i < j."""
-    b = 2.0 * n - 1.0
-    i = ((b - np.sqrt(b * b - 8.0 * linear)) / 2.0).astype(np.int64)
-    i = np.clip(i, 0, n - 2)
-    for _ in range(2):  # fix float off-by-ones
-        start = i * (2 * n - i - 1) // 2
-        i = np.where(linear < start, i - 1, i)
-        start = i * (2 * n - i - 1) // 2
-        over = linear >= start + (n - 1 - i)
-        i = np.where(over, i + 1, i)
-    start = i * (2 * n - i - 1) // 2
-    j = linear - start + i + 1
-    return i, j
+def _pair_from_linear(n: int, linear: np.ndarray) -> np.ndarray:
+    """Invert upper-triangle pair indices: L -> (i, j) with i < j, as rows.
+
+    ``linear`` must be strictly increasing, as every caller draws it: then
+    one ``searchsorted`` of the row starts counts the indices in each row.
+    """
+    rows = np.arange(max(n - 1, 0), dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2
+    counts = np.diff(np.searchsorted(linear, starts), append=len(linear))
+    j = np.repeat(starts - rows - 1, counts)  # j = L - start + i + 1
+    return np.column_stack((np.repeat(rows, counts), np.subtract(linear, j, out=j)))
 
 
 def _gnp_by_avg_degree(n: int, avg_degree: float, seed: int) -> Graph:
@@ -118,8 +117,7 @@ def _gnp_by_avg_degree(n: int, avg_degree: float, seed: int) -> Graph:
         return Graph(n)
     total = n * (n - 1) // 2
     if p >= 1.0:
-        lin = np.arange(total, dtype=np.int64)
-        return Graph(n, np.column_stack(_pair_from_linear(n, lin)))
+        return Graph(n, _pair_from_linear(n, np.arange(total, dtype=np.int64)))
     gen = np.random.Generator(np.random.PCG64(seed))
     # geometric skipping: visits only the sampled pair indices
     logq = math.log1p(-p)
@@ -127,17 +125,18 @@ def _gnp_by_avg_degree(n: int, avg_degree: float, seed: int) -> Graph:
     pos = -1
     batch = max(1024, int(total * p * 1.2) + 16)
     while pos < total:
-        u = gen.random(batch)
-        skips = np.floor(np.log1p(-u) / logq).astype(np.int64) + 1
-        steps = np.cumsum(skips) + pos
-        picked.append(steps[steps < total])
-        if len(steps) and steps[-1] >= total:
-            break
-        pos = int(steps[-1]) if len(steps) else total
+        u = gen.random(batch)  # skips = floor(log1p(-u) / logq) + 1, in place
+        np.floor(np.divide(np.log1p(np.negative(u, out=u), out=u), logq, out=u), out=u)
+        steps = u.astype(np.int64)
+        steps += 1
+        np.cumsum(steps, out=steps)
+        steps += pos
+        picked.append(steps[:np.searchsorted(steps, total)])
+        pos = int(steps[-1])  # at least 1024 steps, each at least 1 long
         batch = 1024
-    lin = np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)
-    lin = lin[lin < total]
-    return Graph(n, np.column_stack(_pair_from_linear(n, lin)))
+    del u  # the last batch goes before the graph is built
+    lin = picked[0] if len(picked) == 1 else np.concatenate(picked)
+    return Graph(n, _pair_from_linear(n, lin))
 
 
 def _random_regular(n: int, d: int, seed: int) -> Graph:
@@ -149,55 +148,60 @@ def _random_regular(n: int, d: int, seed: int) -> Graph:
     if d == 0:
         return Graph(n)
     rng = random.Random(seed)
-
-    def suitable(edges, potential):
-        if not potential:
-            return True
-        verts = sorted(potential)
-        for s1 in verts:
-            for s2 in verts:
-                if s1 == s2:
-                    break
-                if (s2, s1) not in edges:
-                    return True
-        return False
-
-    def try_once():
-        edges = set()
-        stubs = list(range(n)) * d
-        while stubs:
-            potential = {}
-            rng.shuffle(stubs)
-            it = iter(stubs)
-            for s1, s2 in zip(it, it):
-                if s1 > s2:
-                    s1, s2 = s2, s1
-                if s1 != s2 and (s1, s2) not in edges:
-                    edges.add((s1, s2))
-                else:
-                    potential[s1] = potential.get(s1, 0) + 1
-                    potential[s2] = potential.get(s2, 0) + 1
-            if not suitable(edges, potential):
-                return None
-            stubs = [v for v, k in sorted(potential.items()) for _ in range(k)]
-        return edges
-
     for _ in range(MAX_PAIRING_ATTEMPTS):
-        edges = try_once()
-        if edges is not None:
-            pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
-            return Graph(n, pairs.reshape(-1, 2))
+        kept = _pairing(n, d, rng.getrandbits)
+        if kept is not None:
+            key = np.fromiter(kept, dtype=np.int64, count=len(kept))
+            return Graph(n, np.column_stack(np.divmod(key, n)))
     raise ValueError(
         f"no simple {d}-regular pairing on {n} vertices in {MAX_PAIRING_ATTEMPTS} attempts"
     )
 
 
+def _pairing(n: int, d: int, getrandbits) -> Optional[set]:
+    """One attempt's kept edges as keys ``lo * n + hi``, or None when stuck.
+
+    A pass keeps one pair of each key that is not a loop or an edge kept
+    before; pairs of one key have the same ends, so which one is kept does
+    not matter.  The other pairs' stubs go round again, sorted, while some
+    two of their vertices are not adjacent; a leftover vertex has at most
+    d - 1 edges, so over d of them always leave such a pair.  A pass costs
+    what its stubs do, not what was kept: a set answers "kept before?", and
+    the stuck scan stops at the first gap.
+    """
+    kept = set()
+    stubs = list(range(n)) * d
+    while stubs:
+        _shuffle(stubs, getrandbits)
+        s = np.fromiter(stubs, dtype=np.int64, count=len(stubs))
+        key = np.sort(np.minimum(s[0::2], s[1::2]) * n + np.maximum(s[0::2], s[1::2]))
+        keep = _first_of_runs(key) & (key % (n + 1) != 0)  # a loop's key is lo * (n + 1)
+        if kept:
+            keep &= ~np.fromiter(map(kept.__contains__, key.tolist()), dtype=bool, count=len(key))
+        kept.update(key[keep].tolist())
+        left = np.sort(np.concatenate(np.divmod(key[~keep], n)))
+        verts = left[_first_of_runs(left)].tolist()
+        if verts and len(verts) <= d and all(u * n + w in kept for i, w in enumerate(verts) for u in verts[:i]):
+            return None
+        stubs = left.tolist()
+    return kept
+
+
+def _shuffle(x: list, getrandbits) -> None:
+    """``random.Random.shuffle(x)`` inline: from the last i down to 1, x[i] swaps with
+    x[getrandbits(k)], redrawn while above i, for k = (i + 1).bit_length()."""
+    for k in range(len(x).bit_length(), 1, -1):
+        for i in range(min(len(x) - 1, (1 << k) - 2), (1 << (k - 1)) - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+
+
 def _dense_blobs(n: int, density: float, blob_count: int, seed: int) -> Graph:
     if not (0.0 <= density <= 1.0):
         raise ValueError("blob density must be a probability")
-    base = n // blob_count
-    extra = n % blob_count
-    sizes = [base + (1 if i < extra else 0) for i in range(blob_count)]
+    sizes = [n // blob_count + (i < n % blob_count) for i in range(blob_count)]
     children = np.random.SeedSequence(seed).spawn(blob_count)
     blocks = [np.empty((0, 2), dtype=np.int64)]
     offset = 0
@@ -206,7 +210,7 @@ def _dense_blobs(n: int, density: float, blob_count: int, seed: int) -> Graph:
         if size >= 2:
             total = size * (size - 1) // 2
             lin = np.flatnonzero(gen.random(total) < density)
-            blocks.append(np.column_stack(_pair_from_linear(size, lin)) + offset)
+            blocks.append(_pair_from_linear(size, lin) + offset)
         offset += size
     return Graph(n, np.concatenate(blocks))
 

@@ -109,8 +109,8 @@ class Graph:
         pairs = pairs.reshape(0, 2) if pairs.shape == (0,) else pairs
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("edges must be (u, v) pairs")
-        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
-        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        u, v = pairs[:, 0], pairs[:, 1]
+        bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
         if bad.any():
             u, v = map(int, pairs[np.argmax(bad)])
             if u == v:
@@ -150,11 +150,22 @@ class Graph:
 
 
 def _build_csr(n: int, pairs: np.ndarray) -> tuple:
-    u, v = pairs[:, 0], pairs[:, 1]
-    key = _unique(np.concatenate((u * n + v, v * n + u)))  # both directions; dedupes
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
-    return indptr, (key % n).astype(np.int32)
+    """Rows from one in-place sort of both directions' keys ``u * n + v``
+    (32-bit while n * n fits); a key equal to the one before repeats an edge."""
+    key = np.empty((2, len(pairs)), dtype=np.uint32 if n <= 2**16 else np.int64)
+    for half, (a, b) in zip(key, ((0, 1), (1, 0))):
+        np.add(np.multiply(pairs[:, a], n, out=half, casting="unsafe"), pairs[:, b], out=half, casting="unsafe")
+    key = key.reshape(-1)
+    key.sort()
+    new = _first_of_runs(key)
+    key = key if new.all() else key[new]
+    indptr = np.append(np.searchsorted(key, np.arange(n, dtype=key.dtype) * n), len(key))
+    return indptr, np.remainder(key, n, out=key).astype(np.int32)
+
+
+def _first_of_runs(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before."""
+    return np.concatenate((a[:1] == a[:1], a[1:] != a[:-1]))
 
 
 def _unique(a: np.ndarray) -> np.ndarray:
@@ -163,7 +174,7 @@ def _unique(a: np.ndarray) -> np.ndarray:
     sort on 656k edge keys.
     """
     a = np.sort(a)
-    return a[np.diff(a, prepend=a[:1] - 1) != 0]
+    return a[_first_of_runs(a)]
 
 
 class InducedSubgraph(NamedTuple):
@@ -365,7 +376,7 @@ def _or_by_vertex(targets: np.ndarray, words: np.ndarray) -> tuple:
         return targets, words
     order = np.argsort(targets)
     targets = targets[order]
-    starts = np.flatnonzero(np.diff(targets, prepend=targets[:1] - 1))
+    starts = np.flatnonzero(_first_of_runs(targets))
     return targets[starts], np.bitwise_or.reduceat(words[:, order], starts, axis=1)
 
 

@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .generate import GeneratorSpec, generate
@@ -58,25 +58,7 @@ class ExperimentRecord:
     detail: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_json_dict(),
-            "t": self.t,
-            "epsilon": self.epsilon,
-            "mode": self.mode,
-            "outcome": self.outcome,
-            "witness_size": self.witness_size,
-            "log_n": self.log_n,
-            "ratio": self.ratio,
-            "runtime_ms": self.runtime_ms,
-            "verifier_valid": self.verifier_valid,
-            "delta": self.delta,
-            "eta": self.eta,
-            "sigma": self.sigma,
-            "f_m": self.f_m,
-            "k": self.k,
-            "search_budget_exhausted": self.search_budget_exhausted,
-            "detail": self.detail,
-        }
+        return asdict(self)  # every field in order, the spec as its own dict
 
     def csv_row(self) -> list:
         s = self.spec

@@ -161,6 +161,43 @@ class TestArrayConstruction:
             Graph(n, [(0, 1)])
 
 
+# the int64 key build that the one-sort build replaced, kept as its reference
+def build_csr_reference(n, pairs):
+    u, v = pairs[:, 0], pairs[:, 1]
+    key = np.sort(np.concatenate((u * n + v, v * n + u)))
+    key = key[np.diff(key, prepend=key[:1] - 1) != 0]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    if n:
+        np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+        key = key % n
+    return indptr, key.astype(np.int32)
+
+
+class TestOneSortBuild:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1])
+    @pytest.mark.parametrize("m", [0, 1, 7, 5000])
+    def test_matches_int64_reference(self, n, m):
+        # 32-bit keys up to n = 2^16, 64-bit above; repeats in both
+        # orientations; most vertices of the large n have no edge
+        rng = np.random.default_rng(n * 31 + m)
+        pairs = rng.integers(0, max(n, 1), size=(m, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        pairs = np.concatenate((pairs, pairs[::3, ::-1], pairs[::4], [[n - 1, 0]] if n > 1 else np.empty((0, 2), int)))
+        rng.shuffle(pairs)
+        indptr, indices = build_csr_reference(n, pairs)
+        assert_csr_equal(Graph(n, pairs), indptr, indices)
+        if n >= 2**16:
+            assert (np.diff(indptr) == 0).any()  # isolated vertices
+
+    def test_key_width_edges(self):
+        # the largest 32-bit key is (2^16 - 1) * 2^16 + 2^16 - 1 = 2^32 - 1
+        n = 2**16
+        g = Graph(n, [(n - 1, n - 2), (0, n - 1), (n - 1, 0)])
+        assert g.neighbors(n - 1).tolist() == [0, n - 2]
+        assert g.neighbors(0).tolist() == [n - 1]
+        assert g.edge_count == 2
+
+
 class TestAverageDegree:
     def test_cycle_is_two_regular(self):
         assert average_degree(cycle_graph(5)) == 2
