@@ -190,7 +190,7 @@ class TestOneSortBuild:
             assert (np.diff(indptr) == 0).any()  # isolated vertices
 
     def test_key_width_edges(self):
-        # the largest 32-bit key is (2^16 - 1) * 2^16 + 2^16 - 1 = 2^32 - 1
+        # the largest key without a loop on 2^16 vertices: (2^16 - 1) * 2^16 + 2^16 - 2 = 2^32 - 2
         n = 2**16
         g = Graph(n, [(n - 1, n - 2), (0, n - 1), (n - 1, 0)])
         assert g.neighbors(n - 1).tolist() == [0, n - 2]
