@@ -155,12 +155,12 @@ class TestCli:
         (["gen", "--family", "grid_torus", "--n", "4294967296"], "outside 1..2147483647"),
         (["gen", "--family", "dense_blobs", "--n", "10", "--param", "0.5",
           "--blob-count", "1000000000"], "blob_count = 1000000000 outside 1..n = 10"),
-        (["gen", "--family", "random_regular", "--n", "10", "--param", "2.5"],
-         "regular degree 2.5 is not a whole number >= 0"),
-        (["gen", "--family", "gnp_avg_degree", "--n", "10", "--param", "-3"], "average degree -3.0 is not >= 0"),
         (["sweep", "--family", "grid_torus", "--ns", "4294967296", "--t", "3"], "outside 1..2147483647"),
         (["sweep", "--family", "dense_blobs", "--ns", "10", "--param", "0.5",
           "--blob-count", "1000000000", "--t", "3"], "blob_count = 1000000000 outside 1..n = 10"),
+        (["gen", "--family", "random_regular", "--n", "10", "--param", "2.5"],
+         "regular degree 2.5 is not a whole number >= 0"),
+        (["gen", "--family", "gnp_avg_degree", "--n", "10", "--param", "-3"], "average degree -3.0 is not >= 0"),
     ])
     def test_out_of_range_spec_exits_one(self, tmp_path, capsys, argv, message):
         # the spec rejects these before a generator allocates for n or per blob
