@@ -149,16 +149,15 @@ def _random_regular(n: int, d: int, seed: int) -> Graph:
         return Graph(n)
     rng = random.Random(seed)
     for _ in range(MAX_PAIRING_ATTEMPTS):
-        kept = _pairing(n, d, rng.getrandbits)
-        if kept is not None:
-            key = np.fromiter(kept, dtype=np.int64, count=len(kept))
+        key = _pairing(n, d, rng.getrandbits)
+        if key is not None:
             return Graph(n, np.column_stack(np.divmod(key, n)))
     raise ValueError(
         f"no simple {d}-regular pairing on {n} vertices in {MAX_PAIRING_ATTEMPTS} attempts"
     )
 
 
-def _pairing(n: int, d: int, getrandbits) -> Optional[set]:
+def _pairing(n: int, d: int, getrandbits) -> Optional[np.ndarray]:
     """One attempt's kept edges as keys ``lo * n + hi``, or None when stuck.
 
     A pass keeps one pair of each key that is not a loop or an edge kept
@@ -166,25 +165,41 @@ def _pairing(n: int, d: int, getrandbits) -> Optional[set]:
     not matter.  The other pairs' stubs go round again, sorted, while some
     two of their vertices are not adjacent; a leftover vertex has at most
     d - 1 edges, so over d of them always leave such a pair.  A pass costs
-    what its stubs do, not what was kept: a set answers "kept before?", and
-    the stuck scan stops at the first gap.
+    what its stubs do, not what was kept: the first pass's keys stay a
+    sorted array, searched with ``searchsorted``, and only the few keys of
+    later passes go into a set.
     """
-    kept = set()
+    first = None
+    later = set()
+
+    def known(keys: np.ndarray) -> np.ndarray:
+        """Which of ``keys`` an earlier pass kept."""
+        hit = np.zeros(len(keys), dtype=bool)
+        if len(first):
+            hit = first[np.minimum(first.searchsorted(keys), len(first) - 1)] == keys
+        if later:
+            hit |= np.fromiter(map(later.__contains__, keys.tolist()), dtype=bool, count=len(keys))
+        return hit
+
     stubs = list(range(n)) * d
     while stubs:
         _shuffle(stubs, getrandbits)
         s = np.fromiter(stubs, dtype=np.int64, count=len(stubs))
         key = np.sort(np.minimum(s[0::2], s[1::2]) * n + np.maximum(s[0::2], s[1::2]))
         keep = _first_of_runs(key) & (key % (n + 1) != 0)  # a loop's key is lo * (n + 1)
-        if kept:
-            keep &= ~np.fromiter(map(kept.__contains__, key.tolist()), dtype=bool, count=len(key))
-        kept.update(key[keep].tolist())
+        if first is None:
+            first = key[keep]
+        else:
+            keep &= ~known(key)
+            later.update(key[keep].tolist())
         left = np.sort(np.concatenate(np.divmod(key[~keep], n)))
-        verts = left[_first_of_runs(left)].tolist()
-        if verts and len(verts) <= d and all(u * n + w in kept for i, w in enumerate(verts) for u in verts[:i]):
-            return None
+        verts = left[_first_of_runs(left)]
+        if len(verts) and len(verts) <= d:
+            lo, hi = np.triu_indices(len(verts), 1)
+            if known(verts[lo] * n + verts[hi]).all():
+                return None
         stubs = left.tolist()
-    return kept
+    return np.concatenate((first, np.fromiter(later, dtype=np.int64, count=len(later))))
 
 
 def _shuffle(x: list, getrandbits) -> None:

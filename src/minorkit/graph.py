@@ -22,9 +22,15 @@ previous layer adjacent to it.  There are three traversals:
   checks run on it;
 * one bit-parallel layer step (:func:`multi_step`) advances many
   whole-graph searches by one layer at once, each owning one bit of a
-  per-vertex word; it pushes from a small frontier and pulls over every row
-  otherwise.  :func:`bfs_layer_sizes` reports each search's layer sizes
-  with it, and ``routing.BallFamily`` grows a hub round's balls with it.
+  per-vertex word; it pushes from a small frontier and otherwise pulls row
+  chunk by row chunk through one cache-sized buffer that each search makes
+  once (:func:`_pull_rows`).  :func:`bfs_layer_sizes` reports each search's
+  layer sizes with it, and ``routing.BallFamily`` grows a hub round's balls
+  with it.
+
+Every pass over the whole CSR (a pull, an induced subgraph) works in row
+chunks of about ``_PULL_CHUNK`` entries, so its temporaries stay the size
+of a chunk, not of the graph's 2m entries.
 
 Thread-safety: ``Graph`` and ``Path`` never mutate after ``__init__`` and may
 be shared freely across worker threads.
@@ -224,11 +230,32 @@ def _mask(n: int, vertices: Iterable[int]) -> np.ndarray:
 
 
 def _gather(g: Graph, vertices: np.ndarray) -> tuple:
-    """Concatenated neighbor rows of ``vertices`` and the length of each row."""
+    """Concatenated neighbor rows of ``vertices`` and the length of each row.
+
+    ``vertices`` is bounds-checked by the ``indptr`` lookups.  The entry
+    offsets, taken from ``indptr``, are in range, so they are read
+    unchecked (``mode="clip"``).  They stay ``intp``: ``take`` would copy
+    narrower offsets to ``intp`` first.
+    """
     starts = g._indptr[vertices]
     counts = g._indptr[vertices + 1] - starts
     offs = (starts - (counts.cumsum() - counts)).repeat(counts)
-    return g._indices[offs + np.arange(len(offs))], counts
+    offs += np.arange(len(offs))
+    return np.take(g._indices, offs, mode="clip"), counts
+
+
+def _row_chunks(ends: np.ndarray) -> list:
+    """Bounds ``[0, ..., len(ends)]`` that cut rows, whose entries end at the
+    ascending ``ends`` (the first starting at 0), into runs of at most
+    ``_PULL_CHUNK`` entries; a longer row is a run of its own."""
+    bounds = [0]
+    base = 0
+    while bounds[-1] < len(ends):
+        a = bounds[-1]
+        b = max(int(np.searchsorted(ends, base + _PULL_CHUNK, side="right")), a + 1)
+        bounds.append(b)
+        base = int(ends[b - 1])
+    return bounds
 
 
 def _layer_step(g: Graph, frontier: np.ndarray, levels: np.ndarray,
@@ -299,7 +326,7 @@ def bfs_layer_sizes(g: Graph, seeds: Sequence[int]) -> list:
     :func:`bfs_levels` for it.
     """
     seeds = np.fromiter(map(int, seeds), dtype=np.int64)
-    rows = _pull_rows(g)
+    pull = _pull_rows(g, 1, np.uint64)
     out = []
     for lo in range(0, len(seeds), 64):
         chunk = seeds[lo:lo + 64]
@@ -309,7 +336,7 @@ def bfs_layer_sizes(g: Graph, seeds: Sequence[int]) -> list:
         closed[:, verts] = words
         sizes = [np.ones(len(chunk), dtype=np.int64)]
         while True:
-            verts, words = multi_step(g, rows, verts, words, closed)
+            verts, words = multi_step(g, pull, verts, words, closed)
             if not len(verts):
                 break
             closed[:, verts] |= words
@@ -333,14 +360,42 @@ def _bit_counts(words: np.ndarray, bits: int) -> np.ndarray:
     return (hist @ _BYTE_BITS).reshape(-1)[:bits]
 
 
-def _pull_rows(g: Graph) -> np.ndarray:
-    """The vertices with neighbors, the rows a :func:`multi_step` pull reads:
-    ``reduceat`` reads an empty row as its next entry, and a vertex of
-    degree 0 never gains a bit anyway."""
-    return np.flatnonzero(np.diff(g._indptr))
+# row entries per pull chunk: a chunk's gathered words stay in cache
+_PULL_CHUNK = 1 << 16
 
 
-def multi_step(g: Graph, rows: np.ndarray, verts: np.ndarray, words: np.ndarray,
+class _Pull(NamedTuple):
+    """What a :func:`multi_step` pull reads, made once per search.
+
+    ``rows`` are the vertices with neighbors (``reduceat`` reads an empty
+    row as its next entry, and a vertex of degree 0 never gains a bit
+    anyway).  ``chunks`` holds ``(a, b, e0, e1)``: rows ``a:b`` own the row
+    entries ``e0:e1``.  ``starts[j]`` is where row j starts within its
+    chunk, and ``buf`` holds one chunk's gathered words.
+    """
+
+    rows: np.ndarray
+    chunks: list
+    starts: np.ndarray
+    buf: np.ndarray
+
+
+def _pull_rows(g: Graph, words: int, dtype) -> _Pull:
+    """The rows, chunks and buffer of a pull over ``(words, n)`` arrays of ``dtype``."""
+    rows = np.flatnonzero(np.diff(g._indptr))
+    starts = g._indptr[rows]
+    ends = g._indptr[rows + 1]
+    bounds = _row_chunks(ends)
+    chunks = []
+    for a, b in zip(bounds, bounds[1:]):
+        e0, e1 = int(starts[a]), int(ends[b - 1])
+        starts[a:b] -= e0
+        chunks.append((a, b, e0, e1))
+    width = max((e1 - e0 for _a, _b, e0, e1 in chunks), default=0)
+    return _Pull(rows, chunks, starts, np.empty(words * width, dtype=dtype))
+
+
+def multi_step(g: Graph, pull: _Pull, verts: np.ndarray, words: np.ndarray,
                closed: np.ndarray) -> tuple:
     """One layer of a bit-parallel BFS: many searches, one bit each.
 
@@ -349,24 +404,33 @@ def multi_step(g: Graph, rows: np.ndarray, verts: np.ndarray, words: np.ndarray,
     no longer gain (visited or blocked).  When the frontier's rows hold
     under an eighth of the graph's 2m row entries the step pushes: it
     gathers those rows and ORs each reached neighbor's words.  Otherwise it
-    pulls: each of ``rows`` (from :func:`_pull_rows`) ORs its neighbors'
-    frontier words in one ``bitwise_or.reduceat``.  Either way it returns
-    the vertices that gained a bit, ascending, and those bits as a
-    ``(words, len(new))`` array; the caller adds them to ``closed``.
+    pulls, chunk by chunk of ``pull`` (from :func:`_pull_rows`): it gathers
+    the frontier words of a chunk's row entries into the search's one
+    buffer, and each row ORs its share in one ``bitwise_or.reduceat``.
+    Either way it returns the vertices that gained a bit, ascending, and
+    those bits as a ``(words, len(new))`` array; the caller adds them to
+    ``closed``.
     """
     volume = int((g._indptr[verts + 1] - g._indptr[verts]).sum())
     if 8 * volume < len(g._indices):
         flat, counts = _gather(g, verts)
-        pushed = np.repeat(words, counts, axis=1) & ~np.take(closed, flat, axis=1)
+        pushed = np.repeat(words, counts, axis=1)
+        shut = np.take(closed, flat, axis=1, mode="clip")
+        pushed &= np.invert(shut, out=shut)
         keep = pushed.any(axis=0)
         return _or_by_vertex(flat[keep], pushed[:, keep])
     frontier = np.zeros_like(closed)
     frontier[:, verts] = words
-    gathered = np.take(frontier, g._indices, axis=1)  # faster than frontier[:, g._indices]
-    pulled = np.bitwise_or.reduceat(gathered, g._indptr[rows], axis=1)
-    pulled &= ~np.take(closed, rows, axis=1)
+    nwords = len(closed)
+    pulled = np.empty((nwords, len(pull.rows)), dtype=closed.dtype)
+    for a, b, e0, e1 in pull.chunks:
+        # a contiguous (words, e1 - e0) view, so ``take`` writes it in place
+        gathered = pull.buf[:nwords * (e1 - e0)].reshape(nwords, e1 - e0)
+        np.take(frontier, g._indices[e0:e1], axis=1, out=gathered, mode="clip")
+        np.bitwise_or.reduceat(gathered, pull.starts[a:b], axis=1, out=pulled[:, a:b])
+    pulled &= ~np.take(closed, pull.rows, axis=1)
     hit = np.flatnonzero(pulled.any(axis=0))
-    return rows[hit], np.take(pulled, hit, axis=1)
+    return pull.rows[hit], np.take(pulled, hit, axis=1)
 
 
 def _or_by_vertex(targets: np.ndarray, words: np.ndarray) -> tuple:
@@ -572,7 +636,10 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> InducedSubgraph:
     """Relabeled induced subgraph on ``s`` with its id mapping.
 
     Ids are relabeled in increasing order, so slicing the kept rows out of
-    the parent CSR and relabeling them leaves every row sorted.
+    the parent CSR and relabeling them leaves every row sorted.  The kept
+    rows are gathered and relabeled chunk by chunk of about ``_PULL_CHUNK``
+    entries into one int32 output, sized by the kept rows' entries, so the
+    temporaries are a chunk's size.
     """
     keep = _unique(s.astype(np.int64) if isinstance(s, np.ndarray)
                    else np.fromiter(map(int, s), dtype=np.int64))
@@ -583,13 +650,24 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> InducedSubgraph:
             raise ValueError(f"vertex {v} out of range")
     relab = np.full(g.n, -1, dtype=np.int32)
     relab[keep] = np.arange(len(keep), dtype=np.int32)
-    flat, counts = _gather(g, keep)
-    new = relab[flat]
-    inside = new >= 0
-    # row i of the subgraph ends where row i of the gather ends, counting kept entries
-    kept_before = np.concatenate(([0], np.cumsum(inside)))
-    indptr = kept_before[np.concatenate(([0], np.cumsum(counts)))]
-    sub = Graph(len(keep), csr=(indptr, new[inside]))
+    # the kept rows' entries bound the kept ones
+    ends = np.cumsum(g._indptr[keep + 1] - g._indptr[keep])
+    indices = np.empty(int(ends[-1]), dtype=np.int32)
+    indptr = np.zeros(len(keep) + 1, dtype=np.int64)
+    pos = 0
+    bounds = _row_chunks(ends)
+    for a, b in zip(bounds, bounds[1:]):
+        new = np.take(relab, _gather(g, keep[a:b])[0], mode="clip")
+        inside = np.flatnonzero(new >= 0)
+        # row i of the subgraph ends where row i of the gather ends, counting kept entries
+        indptr[a + 1:b + 1] = pos + inside.searchsorted(ends[a:b] - (ends[a - 1] if a else 0))
+        np.take(new, inside, out=indices[pos:pos + len(inside)], mode="clip")
+        pos += len(inside)
+        del new, inside  # so the next chunk's temporaries replace these
+    # a view keeps the dropped entries' room, so copy out when that is most of
+    # it; shrinking in place (``ndarray.resize``) fragments the heap
+    indices = indices[:pos] if 2 * pos >= len(indices) else indices[:pos].copy()
+    sub = Graph(len(keep), csr=(indptr, indices))
     return InducedSubgraph(sub, array("i", keep.astype(np.intc).tobytes()))
 
 

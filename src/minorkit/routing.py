@@ -8,7 +8,8 @@ and every chain and path is read off BFS levels by :func:`graph.walk_down`.
 The balls of a hub round grow together, bit-parallel: ball k owns bit k of a
 per-vertex word (more words beyond 64 balls), and one round advances every
 ball by one BFS layer with :func:`graph.multi_step`, which pushes from a
-small frontier and pulls over every row otherwise, following Beamer,
+small frontier and otherwise pulls row chunk by row chunk through one
+cache-sized buffer that the family makes once, following Beamer,
 Asanović and Patterson's direction-optimizing BFS (SC 2012) and Then et
 al.'s multi-source BFS (PVLDB 2014).  Every ball reaches the vertices, at
 the levels, that a BFS of that ball alone would.  Scaffold paths and
@@ -82,7 +83,7 @@ class BallFamily:
         self.coverage = np.zeros(g.n, dtype=np.int16)
         self.sizes = dict.fromkeys(self.indices, 0)
         self._rounds = []
-        self._rows = _pull_rows(g)
+        self._pull = _pull_rows(g, len(every), dtype)
         self._frontier = _or_by_vertex(np.concatenate(seeds), np.concatenate(words, axis=1))
         self._add(*self._frontier)
         self.radius = 0
@@ -114,7 +115,7 @@ class BallFamily:
         verts, words = self._frontier
         if not len(verts):
             return False
-        self._frontier = multi_step(self.g, self._rows, verts, words, self._closed)
+        self._frontier = multi_step(self.g, self._pull, verts, words, self._closed)
         if not len(self._frontier[0]):
             return False
         self._add(*self._frontier)

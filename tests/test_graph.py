@@ -1,8 +1,10 @@
 """Core graph representation and primitive operations."""
 
 import random
+import tracemalloc
 from collections import deque
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from minorkit import (
     neighborhood,
     parse_graph_text,
 )
+from minorkit import graph as graph_module
 from minorkit.graph import (
     _bfs,
     _mask,
@@ -780,3 +783,146 @@ class TestBfsKernel:
     def test_seed_inside_avoid_errors(self):
         with pytest.raises(ValueError, match="avoid"):
             bfs_levels(path_graph(3), [1], avoid={1})
+
+
+# -- row-chunked kernels -----------------------------------------------------
+
+
+def gather_reference(g, vertices):
+    # the whole-array gather the clipped read replaced: int64 offsets, checked reads
+    starts = g._indptr[vertices]
+    counts = g._indptr[vertices + 1] - starts
+    offs = (starts - (counts.cumsum() - counts)).repeat(counts)
+    return g._indices[offs + np.arange(len(offs))], counts
+
+
+@st.composite
+def chunked_graphs(draw):
+    """Small graphs for chunk sizes of a few entries: sparse draws have
+    degree-0 vertices (and no edges at all at average degree 0), and half of
+    them get a last vertex, a hub, whose row outgrows a chunk of up to 8."""
+    n = draw(st.integers(1, 40))
+    g = random_graph(n, draw(st.floats(0.0, 6.0)), draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        spokes = draw(st.sets(st.integers(0, n - 1), min_size=min(n, 9)))
+        g = Graph(n + 1, list(g.edges()) + [(v, n) for v in spokes])
+    return g
+
+
+def tiny_chunks(size):
+    return mock.patch.object(graph_module, "_PULL_CHUNK", size)
+
+
+class TestRowChunks:
+    @settings(max_examples=100, deadline=None)
+    @given(chunked_graphs(), st.sampled_from([1, 2, 8]), st.sampled_from([1, 64, 65, 130]), st.data())
+    def test_layer_sizes_match_single_source_bfs(self, g, chunk, count, data):
+        # 65 and 130 seeds run a second chunk of seeds on the same pull buffer
+        seeds = data.draw(st.lists(st.integers(0, g.n - 1), min_size=count, max_size=count))
+        with tiny_chunks(chunk):
+            sizes = bfs_layer_sizes(g, seeds)
+        assert len(sizes) == count
+        for v, got in zip(seeds, sizes):
+            levels = bfs_levels(g, [v])
+            assert got.tolist() == np.bincount(levels[levels >= 0]).tolist()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 8])
+    def test_pull_chunks_cover_every_row_once(self, chunk):
+        # rows straddle chunks, a row of 10 outgrows every chunk size here,
+        # and vertices 0 and 12 have no row at all
+        edges = [(6, v) for v in range(1, 12) if v != 6] + [(1, 2), (2, 3), (3, 4), (9, 11)]
+        g = Graph(13, edges)
+        with tiny_chunks(chunk):
+            pull = graph_module._pull_rows(g, 2, np.uint8)
+        assert pull.rows.tolist() == [v for v in range(g.n) if g.degree(v)]
+        # consecutive chunks: rows a:b own the entries e0:e1, from (0, 0) to the end
+        cuts = [(0, 0)] + [(b, e1) for _a, b, _e0, e1 in pull.chunks]
+        assert [(a, e0) for a, _b, e0, _e1 in pull.chunks] == cuts[:-1]
+        assert cuts[-1] == (len(pull.rows), len(g._indices))
+        for a, b, e0, e1 in pull.chunks:
+            assert b - a == 1 or e1 - e0 <= chunk
+            assert (pull.starts[a:b] + e0).tolist() == g._indptr[pull.rows[a:b]].tolist()
+        assert len(pull.buf) == 2 * max(e1 - e0 for _a, _b, e0, e1 in pull.chunks)
+
+    def test_edgeless_graph_pulls_nothing(self):
+        g = Graph(5)
+        with tiny_chunks(2):
+            assert [s.tolist() for s in bfs_layer_sizes(g, [0, 3, 3])] == [[1], [1], [1]]
+            assert graph_module._pull_rows(g, 1, np.uint64).chunks == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(chunked_graphs(), st.sampled_from([1, 2, 8]), st.data())
+    def test_induced_subgraph_matches_loop_reference(self, g, chunk, data):
+        s = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+        (indptr, indices), new_to_old, old_to_new = induced_reference(g, s)
+        with tiny_chunks(chunk):
+            sub = induced_subgraph(g, s)
+        assert_csr_equal(sub.graph, indptr, indices)
+        assert list(sub.new_to_old) == list(new_to_old)
+        assert_relabel_map(sub, old_to_new)
+
+    @pytest.mark.parametrize("kept", [
+        range(13),  # all kept
+        [4],  # one kept
+        [0, 12, 5],  # kept isolated vertices, and a kept vertex whose row loses every entry
+        [6, 0, 2, 3, 9, 10, 11],  # the hub's row of 10 is larger than a chunk
+        [1, 2, 3, 4, 6],  # a path whose rows straddle chunks
+    ])
+    @pytest.mark.parametrize("chunk", [1, 3, 8])
+    def test_induced_subgraph_edge_cases(self, kept, chunk):
+        g = Graph(13, [(6, v) for v in range(1, 12) if v != 6] + [(1, 2), (2, 3), (3, 4), (9, 11)])
+        (indptr, indices), new_to_old, old_to_new = induced_reference(g, kept)
+        with tiny_chunks(chunk):
+            sub = induced_subgraph(g, kept)
+        assert_csr_equal(sub.graph, indptr, indices)
+        assert list(sub.new_to_old) == list(new_to_old)
+
+    @settings(max_examples=100, deadline=None)
+    @given(chunked_graphs(), st.data())
+    def test_gather_matches_int64_reference(self, g, data):
+        # repeated and unsorted vertices, as some callers pass them
+        vertices = np.array(data.draw(st.lists(st.integers(0, g.n - 1), max_size=3 * g.n)), dtype=np.int64)
+        flat, counts = graph_module._gather(g, vertices)
+        ref_flat, ref_counts = gather_reference(g, vertices)
+        assert flat.dtype == ref_flat.dtype == np.int32
+        assert flat.tolist() == ref_flat.tolist() and counts.tolist() == ref_counts.tolist()
+
+    def test_gather_still_checks_vertex_ids(self):
+        with pytest.raises(IndexError):
+            graph_module._gather(path_graph(4), np.array([1, 4]))
+
+
+def traced_peak(f):
+    """Bytes ``f()`` allocated at its peak, its result included, and the result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = f()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryGuard:
+    # G(2^14, avg 40): a whole-graph gather of one uint64 word per row entry
+    # takes 2m * 8 = 5.2 MB; these peaks are deterministic, no timing
+    @pytest.fixture(scope="class")
+    def g(self):
+        return generate(GeneratorSpec(family="gnp_avg_degree", n=2**14, param=40.0, seed=1),
+                        with_girth=False).graph
+
+    def test_layer_sizes_stay_well_below_a_whole_graph_gather(self, g):
+        seeds = list(range(0, g.n, 256))  # 64 seeds: one bit-parallel search
+        peak, _ = traced_peak(lambda: bfs_layer_sizes(g, seeds))
+        assert peak < len(g._indices) * 8 // 2
+
+    @pytest.mark.parametrize("dropped", [[], [5, 77, 300, 4000, 9000, 16000]])
+    def test_induced_subgraph_is_its_output_plus_one_chunk(self, g, dropped):
+        # extraction keeps almost every vertex.  One chunk's temporaries are
+        # 16 bytes per entry (the intp offsets, then a gather's intp copy of
+        # its int32 ids); the per-vertex arrays are the kept ids, their row
+        # ends (8 bytes each) and the relabel map (4 bytes)
+        keep = np.setdiff1d(np.arange(g.n), dropped)
+        peak, sub = traced_peak(lambda: induced_subgraph(g, keep))
+        output = sub.graph._indices.nbytes + sub.graph._indptr.nbytes + 4 * len(sub.new_to_old)
+        assert peak <= output + 16 * graph_module._PULL_CHUNK + 24 * g.n

@@ -3,6 +3,7 @@ per-ball and whole-graph code they replaced, kept here as references."""
 
 import random
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minorkit import GeneratorSpec, Graph, Path, generate
+from minorkit import graph as graph_module
 from minorkit.graph import _layer_step, _mask, first_exit, reached_in_order
 from minorkit.routing import (
     BallFamily,
@@ -251,6 +253,38 @@ class TestBallFamily:
         assert str(err.value) == f"seed of ball {bad} lies in its avoid set"
         with pytest.raises(ValueError, match=f"seed of ball {bad} lies"):
             BallFamilyReference(g, seed_sets, common, extra)
+
+
+class TestBallFamilyAtTinyPullChunks:
+    # pull chunks of a few entries: rows straddle chunks, a row outgrows one
+    # (the torus's rows hold 4, a random graph's up to a dozen), and
+    # degree-0 vertices have no row
+    @settings(max_examples=80, deadline=None)
+    @given(families(), st.sampled_from([1, 3, 8]))
+    def test_rounds_match_per_ball_growth(self, drawn, chunk):
+        g, seed_sets, common, avoid_extra = drawn
+        with mock.patch.object(graph_module, "_PULL_CHUNK", chunk):
+            fam = BallFamily(g, seed_sets, common, avoid_extra)
+            ref = BallFamilyReference(g, seed_sets, common, avoid_extra)
+            while ref.grow_round():
+                assert fam.grow_round()
+                assert_same_family(fam, ref)
+            assert fam.grow_round() is False
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(65, 140), st.floats(0.0, 4.0), st.integers(0, 10**6), st.sampled_from([1, 5]))
+    def test_more_than_64_balls_use_more_words(self, count, avg_degree, seed, chunk):
+        g = random_graph(90, avg_degree, seed)
+        rng = random.Random(seed)
+        seed_sets = {i: {rng.randrange(g.n)} for i in range(count)}
+        with mock.patch.object(graph_module, "_PULL_CHUNK", chunk):
+            fam = BallFamily(g, seed_sets)
+            ref = BallFamilyReference(g, seed_sets)
+            assert fam._closed.shape[0] == -(-count // 64) >= 2
+            while ref.grow_round():
+                assert fam.grow_round()
+                assert_same_family(fam, ref)
+            assert fam.grow_round() is False
 
 
 # the scaffold routines as they ran on bfs_parents(allowed=...), a whole-graph
