@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, _bfs, _first_of_runs, _gather, load_graph
+from .graph import Graph, _first_of_runs, _gather, bfs_levels, load_graph
 
 FAMILIES = ("gnp_avg_degree", "random_regular", "dense_blobs", "grid_torus", "file")
 
@@ -279,7 +279,7 @@ def girth(g: Graph) -> Optional[int]:
         if gone[root]:
             continue
         radius = None if best == math.inf else (best - 1) // 2
-        levels = _bfs(g, [root], gone, radius=radius)
+        levels = bfs_levels(g, [root], avoid=gone, radius=radius)
         reached = np.flatnonzero(levels > 0)
         nbrs, counts = _gather(g, reached)
         owner = np.repeat(reached, counts)

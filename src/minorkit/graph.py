@@ -12,10 +12,12 @@ the CSR arrays is deterministic and returns BFS levels only, and one path
 reader, :func:`walk_down`, reads every path off them: from a vertex at level
 r it steps to the smallest-id neighbor at level r - 1, down to level 0.  So
 on every path a vertex's predecessor is the smallest-id vertex of the
-previous layer adjacent to it.  There are three traversals:
+previous layer adjacent to it.  There is one traversal of each kind:
 
-* one BFS kernel (``_bfs``) with a boolean blocked mask serves every
-  traversal of the whole graph: layers are expanded whole;
+* one whole-graph BFS (:func:`bfs_levels`) expands whole layers through a
+  boolean blocked mask; ``bfs_parents`` is the same function under a
+  second name, which the benchmark's tracer times apart, so path searches
+  show on their own;
 * one set-local BFS (:func:`bfs_within`) walks only the edges inside a
   small vertex set, at a cost that follows the set's volume, not n: the
   scaffold paths, set trimming and the verifiers' connectivity and radius
@@ -258,23 +260,26 @@ def _row_chunks(ends: np.ndarray) -> list:
     return bounds
 
 
-def _layer_step(g: Graph, frontier: np.ndarray, levels: np.ndarray,
-                blocked: np.ndarray) -> np.ndarray:
-    """One BFS layer: the sorted unvisited, unblocked neighbors of ``frontier``."""
-    flat, _ = _gather(g, frontier)
-    return _unique(flat[(levels[flat] < 0) & ~blocked[flat]])
+def bfs_levels(
+    g: Graph,
+    seeds: Iterable[int],
+    avoid: Iterable[int] = (),
+    radius: Optional[int] = None,
+    stop_size: Optional[int] = None,
+    target=None,
+) -> np.ndarray:
+    """Layered BFS from ``seeds`` through ``V - avoid``: the one whole-graph BFS.
 
-
-def _bfs(g: Graph, seeds: Iterable[int], blocked: np.ndarray, radius: Optional[int] = None,
-         stop_size: Optional[int] = None, target=None) -> np.ndarray:
-    """Layered BFS from ``seeds`` through unblocked vertices: the one BFS loop.
-
-    Seeds are visited even when blocked.  Growth stops after ``radius``
+    ``avoid`` is vertex ids, or a length-n boolean mask, which is read as it
+    is and never copied or changed, so many searches can share one.  Seeds
+    are visited even when they are avoided.  Growth stops after ``radius``
     layers, once ``stop_size`` vertices are visited or once ``target`` (a
     vertex, or an array of vertices of which any one will do) is visited,
     always between whole layers.  Returns ``int32`` levels with -1 for
-    unvisited vertices.
+    unreached vertices, which :func:`walk_down` reads paths off.  A search
+    confined to a small vertex set is :func:`bfs_within`'s job.
     """
+    blocked = avoid if isinstance(avoid, np.ndarray) and avoid.dtype == bool else _mask(g.n, avoid)
     levels = np.full(g.n, -1, dtype=np.int32)
     frontier = _unique(np.fromiter(map(int, seeds), dtype=np.int64))
     levels[frontier] = 0
@@ -287,31 +292,17 @@ def _bfs(g: Graph, seeds: Iterable[int], blocked: np.ndarray, radius: Optional[i
             break
         if target is not None and (levels[target] >= 0).any():
             break
-        frontier = _layer_step(g, frontier, levels, blocked)
+        flat, _ = _gather(g, frontier)
+        frontier = _unique(flat[(levels[flat] < 0) & ~blocked[flat]])
         r += 1
         levels[frontier] = r
         size += len(frontier)
     return levels
 
 
-def bfs_levels(
-    g: Graph,
-    seeds: Iterable[int],
-    avoid: Iterable[int] = (),
-    radius: Optional[int] = None,
-    stop_size: Optional[int] = None,
-) -> np.ndarray:
-    """BFS distance array from a seed set, restricted to ``V - avoid``.
-
-    Returns an ``int32`` array with -1 for unreached vertices.  Growth stops
-    after ``radius`` layers or once the visited count reaches ``stop_size``
-    (the current layer is always completed, never truncated mid-layer).
-    """
-    seeds = list(map(int, seeds))
-    blocked = _mask(g.n, avoid)
-    if blocked[seeds].any():
-        raise ValueError("seed inside avoid set")
-    return _bfs(g, seeds, blocked, radius=radius, stop_size=stop_size)
+# the benchmark's tracer wraps this name apart from ``bfs_levels``, so path
+# searches that call it are timed on their own
+bfs_parents = bfs_levels
 
 
 def bfs_layer_sizes(g: Graph, seeds: Sequence[int]) -> list:
@@ -444,33 +435,6 @@ def _or_by_vertex(targets: np.ndarray, words: np.ndarray) -> tuple:
     return targets[starts], np.bitwise_or.reduceat(words[:, order], starts, axis=1)
 
 
-def bfs_parents(
-    g: Graph,
-    seeds: Iterable[int],
-    avoid: Iterable[int] = (),
-    radius: Optional[int] = None,
-    target=None,
-    stop_size: Optional[int] = None,
-) -> np.ndarray:
-    """Layered BFS levels for a path search, which :func:`walk_down` reads.
-
-    ``avoid`` is the vertices the search may not enter: vertex ids, or a
-    prebuilt length-n boolean mask, which is read as it is and never copied
-    or changed, so many searches can share one.  Seeds are visited even
-    when they are avoided.  If ``target`` is given the search stops once it
-    is reached, or for an array of vertices once any of them is (after
-    finishing the layer);
-    ``stop_size`` stops growth once that many vertices are visited (layers
-    are never truncated mid-way).  Returns ``int32`` levels with -1 for
-    unreached vertices, as :func:`bfs_levels` does; the name stays because
-    ``perfbench/tracer.py`` times path searches under it.  A search confined
-    to a small vertex set is :func:`bfs_within`'s job.
-    """
-    if not (isinstance(avoid, np.ndarray) and avoid.dtype == bool):
-        avoid = _mask(g.n, avoid)
-    return _bfs(g, seeds, avoid, radius=radius, stop_size=stop_size, target=target)
-
-
 def bfs_within(g: Graph, members: Iterable[int], seeds: Iterable[int],
                target: Optional[int] = None) -> tuple:
     """Layered BFS from ``seeds`` over the edges of G[members + seeds] only.
@@ -544,36 +508,23 @@ def reached_in_order(levels: np.ndarray) -> np.ndarray:
     return reached[np.argsort(levels[reached], kind="stable")]
 
 
-def first_exit(g: Graph, levels: np.ndarray, targets: Iterable[int],
-               max_level: Optional[int] = None) -> Optional[tuple]:
+def first_exit(g: Graph, level_of, targets: Iterable[int]) -> Optional[tuple]:
     """Earliest reached vertex adjacent to ``targets``.
 
-    Returns ``(level, u, w)`` for the reached vertex ``u`` of smallest
-    (level, id) with level at most ``max_level`` that has a neighbor in
-    ``targets``, and ``w`` its smallest-id such neighbor; None if there is
-    none.  The scan gathers the targets' neighbor rows, so its cost follows
-    the targets, not the ball.
+    ``level_of`` maps an id array to levels, -1 where unreached:
+    ``levels.__getitem__`` for a whole-graph BFS, or :func:`within_levels`
+    for :func:`bfs_within`'s.  Returns ``(level, u, w)`` for the reached
+    vertex ``u`` of smallest (level, id) that has a neighbor in ``targets``,
+    and ``w`` its smallest-id such neighbor; None if there is none.  The scan
+    gathers the targets' neighbor rows, so its cost follows the targets, not
+    the ball.
     """
-    return _first_exit(g, levels.__getitem__, targets, max_level)
-
-
-def first_exit_within(g: Graph, verts: np.ndarray, levels: np.ndarray,
-                      targets: Iterable[int]) -> Optional[tuple]:
-    """:func:`first_exit` for the set-local ``(verts, levels)`` of
-    :func:`bfs_within`; its cost follows the targets and the set."""
-    return _first_exit(g, within_levels(verts, levels), targets, None)
-
-
-def _first_exit(g: Graph, level_of, targets: Iterable[int],
-                max_level: Optional[int]) -> Optional[tuple]:
     targets = _unique(np.fromiter(map(int, targets), dtype=np.int64))
     if not len(targets):
         return None
     flat, counts = _gather(g, targets)
     lv = level_of(flat)
     ok = lv >= 0
-    if max_level is not None:
-        ok &= lv <= max_level
     if not ok.any():
         return None
     lv, u, w = lv[ok], flat[ok], np.repeat(targets, counts)[ok]
@@ -599,7 +550,8 @@ def exit_map(g: Graph, targets: Iterable[int]) -> np.ndarray:
 def first_exit_on_map(levels: np.ndarray, exits: np.ndarray,
                       max_level: Optional[int] = None) -> Optional[tuple]:
     """:func:`first_exit` read off ``exits = exit_map(g, targets)``: the same
-    ``(level, u, w)`` or None, by one pass over the levels."""
+    ``(level, u, w)`` or None, by one pass over the levels, counting only
+    exits at level ``max_level`` or below."""
     ok = (levels >= 0) & (exits >= 0)
     if max_level is not None:
         ok &= levels <= max_level

@@ -103,7 +103,7 @@ def find_nice_sets(
     probe_size = max(1, math.floor(m ** 0.625))
     out = []
     while len(out) < count:
-        used = np.flatnonzero(~free)
+        used = ~free  # one mask, shared by every probe of the round
         found = None
         for v in np.flatnonzero(free)[:probe_size].tolist():
             levels = bfs_levels(h, [v], avoid=used, radius=d.k, stop_size=size)

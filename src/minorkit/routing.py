@@ -31,7 +31,7 @@ from .graph import (
     _pull_rows,
     bfs_parents,  # unused here; kept so the benchmark's tracer can wrap routing.bfs_parents
     bfs_within,
-    first_exit_within,
+    first_exit,
     multi_step,
     reached_in_order,
     walk_down,
@@ -260,11 +260,11 @@ def entry_path(
     if source in target_set:
         return path_through_scaffold(g, target_set, source, target_center)
     verts, levels = bfs_within(g, scaffold - target_set, [source])
-    entry = first_exit_within(g, verts, levels, target_set)
+    level_of = within_levels(verts, levels)
+    entry = first_exit(g, level_of, target_set)
     if entry is None:
         return None
     r, u, w = entry
-    level_of = within_levels(verts, levels)
     outside = walk_down(g, u, r, lambda r, ids: level_of(ids) == r)
     inside = path_through_scaffold(g, target_set, w, target_center)
     if inside is None:

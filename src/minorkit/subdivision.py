@@ -44,7 +44,6 @@ from .graph import (
     bfs_levels,
     bfs_parents,
     exit_map,
-    first_exit,
     first_exit_on_map,
     neighbor_counts,
     reached_in_order,
@@ -394,7 +393,7 @@ def _harvest_corners(h, w, t, d, p):
             break
         if v in used:
             continue
-        lv = bfs_levels(h, [v], avoid=used - {v}, radius=d.l, stop_size=thr)
+        lv = bfs_levels(h, [v], avoid=used, radius=d.l, stop_size=thr)
         reached = reached_in_order(lv)
         if len(reached) < set_size:
             continue
@@ -526,21 +525,26 @@ def _route_exit(h, levels, ex, v, b, taken, blocked, d):
     if ex is not None and ex[2] == b and not any(levels[u] >= 0 for u in taken):
         return Path(tuple(walk_down(h, ex[1], ex[0], lambda r, ids: levels[ids] == r)) + (b,))
     # an exit lies within radius l - 1, so the last layer is never needed
-    return _path_to_neighbor(h, v, blocked, b, d.l - 1)
+    path = _path_to(h, v, blocked, h.neighbors(b), d.l - 1)
+    return None if path is None else Path(tuple(path) + (b,))
 
 
-def _path_to_neighbor(h, v, avoid, b, radius):
-    """Path from ``v`` through ``h - avoid`` to the neighbor of ``b`` of
-    smallest (level, id) within ``radius``, then on to ``b``; None if none.
+def _path_to(h, v, avoid, targets, radius=None) -> Optional[list]:
+    """Shortest path ``[v, ..., u]`` through ``h - avoid`` to the vertex
+    ``u`` of ``targets`` of smallest (level, id) within ``radius``; None if
+    the search reaches none of them.
 
-    Once a layer reaches a neighbor of ``b``, later layers change neither
-    that neighbor nor the levels below it, so the BFS stops after that layer.
+    Once a layer reaches a target, later layers change neither that target
+    nor the levels below it, so the BFS stops after that layer.
     """
-    levels = bfs_parents(h, [v], avoid=avoid, radius=radius, target=h.neighbors(b))
-    ex = first_exit(h, levels, [b])
-    if ex is None:
+    levels = bfs_parents(h, [v], avoid=avoid, radius=radius, target=targets)
+    targets = np.asarray(targets, dtype=np.int64)
+    lv = levels[targets]
+    if not (lv >= 0).any():
         return None
-    return Path(tuple(walk_down(h, ex[1], ex[0], lambda r, ids: levels[ids] == r)) + (b,))
+    r = lv[lv >= 0].min()
+    u = targets[lv == r].min()
+    return walk_down(h, u, r, lambda r, ids: levels[ids] == r)
 
 
 def _sparse_p_step(h, w, state, centers, pockets, balls, case2, alpha, d, p, thr, need):
@@ -698,13 +702,10 @@ def _route_unit_hub_path(h, units, trimmed, fam, i, alpha, hub, taken, avoid_ext
             if path.length <= 2 * d.k:
                 return path
     avoid = (set(avoid_extra) - own) | (taken - {hub})
-    lv = bfs_parents(h, [center], avoid=avoid, target=hub)
-    if lv[hub] < 0:
+    path = _path_to(h, center, avoid, [hub])
+    if path is None or len(path) - 1 > 2 * d.k:
         return None
-    path = Path(tuple(walk_down(h, hub, lv[hub], lambda r, ids: lv[ids] == r)))
-    if path.length > 2 * d.k:
-        return None
-    return path
+    return Path(tuple(path))
 
 
 def _assert_connect_bullets(path, qmap, units, indices, i, alpha, beta, hub, t):

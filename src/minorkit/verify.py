@@ -141,8 +141,7 @@ def verify_unit(g: Graph, u: Unit, d: DerivedScales) -> VerificationReport:
     report.measured_size = len(u.vertices())
     t = u.t
     want_size = max(1, math.floor(d.m ** u.sigma))
-    all_vertices = set(u.vertices())
-    if not _in_range(g, all_vertices):
+    if not _in_range(g, u.vertices() | set(u.centers)):
         report.add("range", "unit leaves the vertex range")
         return report
     seen = set()

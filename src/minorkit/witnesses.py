@@ -136,6 +136,8 @@ class Unit:
         )
         if not (len(self.spokes) == len(self.sets) == len(self.centers)):
             raise ValueError("spokes, sets and centers must align")
+        if not 0.0 < self.sigma < 1.0:  # NaN fails it too
+            raise ValueError(f"sigma must be in (0,1), got {self.sigma}")
 
     @property
     def t(self) -> int:

@@ -194,9 +194,18 @@ SPAN_COUNTS = {
 }
 
 
+# (graph.bfs_levels, graph.bfs_parents) calls per golden spec, in SPECS
+# order: both names are one function, so a search that moves from one name
+# to the other changes the benchmark's per-layer figures without failing
+# elsewhere
+BFS_CALLS = [(20, 0), (20, 0), (26, 0), (24, 0), (20, 0), (16, 0), (21, 0), (2, 0),
+             (0, 0), (16, 95), (5, 30), (7, 41), (80, 183), (2, 0), (19, 0), (8, 0)]
+
+
 def test_golden_specs_keep_their_span_counts(tracer_module):
     golden = load_file("golden_specs", GOLDEN_PATH)
-    for spec in golden.SPECS:
+    assert len(golden.SPECS) == len(BFS_CALLS)
+    for spec, bfs_calls in zip(golden.SPECS, BFS_CALLS):
         tracer = tracer_module.Tracer()
         tracer.install()
         try:
@@ -207,3 +216,5 @@ def test_golden_specs_keep_their_span_counts(tracer_module):
         counts = tuple(summary.get(layer, {}).get("calls", 0)
                        for layer in ("verify.certify", "expansion.extract", "minor.build"))
         assert counts == SPAN_COUNTS[(res.outcome, res.route)], spec
+        assert tuple(summary.get(layer, {}).get("calls", 0)
+                     for layer in ("graph.bfs_levels", "graph.bfs_parents")) == bfs_calls, spec

@@ -23,11 +23,9 @@ from minorkit import (
 )
 from minorkit import graph as graph_module
 from minorkit.graph import (
-    _bfs,
     _mask,
     bfs_layer_sizes,
     bfs_levels,
-    bfs_parents,
     bfs_within,
     eccentricity_within,
     exit_map,
@@ -641,7 +639,7 @@ class TestBfsKernel:
         radius = data.draw(st.none() | st.integers(0, 6))
         target = data.draw(st.none() | vertex | st.lists(vertex, max_size=4))
         stop_size = data.draw(st.none() | st.integers(1, n))
-        levels = bfs_parents(
+        levels = bfs_levels(
             g, seeds, avoid=avoid, radius=radius, stop_size=stop_size,
             target=np.array(target, dtype=np.int32) if isinstance(target, list) else target)
         ref_levels, ref_parents = bfs_parents_reference(
@@ -651,9 +649,6 @@ class TestBfsKernel:
         for v in ref_levels:
             assert (walk_down(g, v, levels[v], lambda r, ids: levels[ids] == r)
                     == parent_chain(ref_parents, v))
-        plain = bfs_levels(g, seeds, avoid=avoid, radius=radius, stop_size=stop_size)
-        ref_plain, _ = bfs_parents_reference(g, seeds, avoid=avoid, radius=radius, stop_size=stop_size)
-        assert {v: int(plain[v]) for v in np.flatnonzero(plain >= 0)} == ref_plain
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 40), st.floats(0.5, 8.0), st.integers(0, 10**6), st.data())
@@ -669,9 +664,9 @@ class TestBfsKernel:
         stop_size = data.draw(st.none() | st.integers(1, n))
         mask = _mask(n, avoid)
         kwargs = dict(radius=radius, target=target, stop_size=stop_size)
-        levels = bfs_parents(g, [v], avoid=mask, **kwargs)
-        assert np.array_equal(levels, bfs_parents(g, [v], avoid=avoid, **kwargs))
-        assert np.array_equal(levels, bfs_parents(g, [v], avoid=avoid - {v}, **kwargs))
+        levels = bfs_levels(g, [v], avoid=mask, **kwargs)
+        assert np.array_equal(levels, bfs_levels(g, [v], avoid=avoid, **kwargs))
+        assert np.array_equal(levels, bfs_levels(g, [v], avoid=avoid - {v}, **kwargs))
         assert mask.tolist() == [u in avoid for u in range(n)]  # read, never changed
 
     @settings(max_examples=150, deadline=None)
@@ -702,29 +697,32 @@ class TestBfsKernel:
         g = random_graph(n, avg_degree, seed)
         members = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
         v = data.draw(st.integers(0, n - 1))
-        levels = _bfs(g, [v], ~_mask(n, members))
+        levels = bfs_levels(g, [v], avoid=~_mask(n, members))
         reached = int(np.count_nonzero(levels >= 0))
         assert eccentricity_within(g, members, v) == (
             int(levels.max()) if reached == len(members) else None)
-        levels = _bfs(g, [min(members)], ~_mask(n, members))
+        levels = bfs_levels(g, [min(members)], avoid=~_mask(n, members))
         assert is_connected_set(g, members) == (int(np.count_nonzero(levels >= 0)) == len(members))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 40), st.floats(0.5, 8.0), st.integers(0, 10**6), st.data())
     def test_first_exit_is_earliest_adjacent_vertex(self, n, avg_degree, seed, data):
+        # one scan reads either lookup: a whole-graph level array, and the
+        # same levels from the set-local BFS over everything but the targets
         g = random_graph(n, avg_degree, seed)
         source = data.draw(st.integers(0, n - 1))
         targets = data.draw(st.sets(st.integers(0, n - 1))) - {source}
-        max_level = data.draw(st.none() | st.integers(0, 4))
-        levels = bfs_parents(g, [source], avoid=targets)
+        levels = bfs_levels(g, [source], avoid=targets)
         expected = None
         for u in sorted(np.flatnonzero(levels >= 0).tolist(), key=lambda u: (int(levels[u]), u)):
             hits = [int(w) for w in g.neighbors(u) if int(w) in targets]
-            if hits and (max_level is None or levels[u] <= max_level):
+            if hits:
                 expected = (int(levels[u]), u, min(hits))
                 break
-        assert first_exit(g, levels, targets, max_level) == expected
-        assert first_exit_lexsort_reference(g, levels, targets, max_level) == expected
+        assert first_exit(g, levels.__getitem__, targets) == expected
+        assert first_exit_lexsort_reference(g, levels, targets) == expected
+        verts, local = bfs_within(g, set(range(n)) - targets, [source])
+        assert first_exit(g, within_levels(verts, local), targets) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 40), st.floats(0.5, 10.0), st.integers(0, 10**6), st.data())
@@ -737,13 +735,13 @@ class TestBfsKernel:
         avoid = data.draw(st.sets(vertex, max_size=n // 2))
         source = data.draw(vertex.filter(lambda v: v not in avoid))
         max_level = data.draw(st.none() | st.integers(0, 4))
-        levels = bfs_parents(g, [source], avoid=avoid)
+        levels = bfs_levels(g, [source], avoid=avoid)
         exits = exit_map(g, targets)
         assert exits.tolist() == [
             min((int(w) for w in g.neighbors(v) if int(w) in targets), default=-1) for v in range(n)]
         assert (first_exit_on_map(levels, exits, max_level)
-                == first_exit(g, levels, targets, max_level)
                 == first_exit_lexsort_reference(g, levels, targets, max_level))
+        assert first_exit_on_map(levels, exits) == first_exit(g, levels.__getitem__, targets)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 40), st.floats(0.0, 8.0), st.integers(0, 10**6), st.data())
@@ -780,9 +778,12 @@ class TestBfsKernel:
             levels = bfs_levels(g, [v])
             assert got.tolist() == np.bincount(levels).tolist()
 
-    def test_seed_inside_avoid_errors(self):
-        with pytest.raises(ValueError, match="avoid"):
-            bfs_levels(path_graph(3), [1], avoid={1})
+    def test_avoided_seed_is_visited(self):
+        # the corner-ball probe shares one mask that blocks every corner,
+        # its own included; each search still starts from its seed
+        g = path_graph(3)
+        assert bfs_levels(g, [1], avoid={1}).tolist() == [1, 0, 1]
+        assert bfs_levels(g, [1], avoid=_mask(3, [1])).tolist() == [1, 0, 1]
 
 
 # -- row-chunked kernels -----------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from minorkit import GeneratorSpec, Graph, Path, generate
 from minorkit import graph as graph_module
-from minorkit.graph import _layer_step, _mask, first_exit, reached_in_order
+from minorkit.graph import _gather, _mask, _unique, first_exit, reached_in_order
 from minorkit.routing import (
     BallFamily,
     backtrack_chain,
@@ -23,6 +23,12 @@ from minorkit.routing import (
 )
 
 from test_graph import bfs_parents_reference, parent_chain
+
+
+def layer_step(g, frontier, levels, blocked):
+    """One BFS layer: the sorted unvisited, unblocked neighbors of ``frontier``."""
+    flat, _ = _gather(g, frontier)
+    return _unique(flat[(levels[flat] < 0) & ~blocked[flat]])
 
 
 # the per-ball family that the bit-parallel one replaced: each ball keeps its
@@ -57,7 +63,7 @@ class BallFamilyReference:
             frontier = self.frontiers[i]
             if not len(frontier):
                 continue
-            new = _layer_step(self.g, frontier, self.levels[i], self._blocked[i])
+            new = layer_step(self.g, frontier, self.levels[i], self._blocked[i])
             self.levels[i][new] = self.radius + 1
             self.coverage[new] += 1
             self.frontiers[i] = new
@@ -311,7 +317,7 @@ def entry_path_reference(g, scaffold, source, target_set, target_center, max_len
     if source in target_set:
         return path_through_scaffold_reference(g, target_set, source, target_center)
     levels, parents = bfs_allowed(g, [source], (set(scaffold) - set(target_set)) | {source})
-    entry = first_exit(g, levels, target_set)
+    entry = first_exit(g, levels.__getitem__, target_set)
     if entry is None:
         return None
     _r, u, w = entry

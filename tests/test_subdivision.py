@@ -34,7 +34,7 @@ from minorkit.subdivision import (
     CASE_STARS,
     DegreeSplit,
     _ConnectState,
-    _path_to_neighbor,
+    _path_to,
     _probe_corner_balls,
     _rest_max_degree,
     _sparse_p_step,
@@ -319,8 +319,9 @@ class TestSparseRouteArrays:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 40), st.floats(0.5, 10.0), st.integers(0, 10**6), st.data())
     def test_stopped_reroute_matches_full_radius(self, n, avg_degree, seed, data):
-        # the re-route stops at the first layer that reaches a neighbor of b;
-        # the reference runs every layer and then takes the earliest exit
+        # the re-route to b's row stops at the first layer that reaches a
+        # neighbor of b; the reference runs every layer and then takes the
+        # earliest exit into b
         g = hub_graph(n, avg_degree, 0, seed)
         vertex = st.integers(0, n - 1)
         v = data.draw(vertex)
@@ -335,9 +336,33 @@ class TestSparseRouteArrays:
         ref_levels, ref_parents = bfs_parents_reference(g, [v], avoid=avoid, radius=radius)
         levels = np.full(n, -1, dtype=np.int32)
         levels[list(ref_levels)] = list(ref_levels.values())
-        ex = first_exit(g, levels, [b])
-        expected = None if ex is None else Path(tuple(parent_chain(ref_parents, ex[1])) + (b,))
-        assert _path_to_neighbor(g, v, avoid, b, radius) == expected
+        ex = first_exit(g, levels.__getitem__, [b])
+        expected = None if ex is None else parent_chain(ref_parents, ex[1])
+        assert _path_to(g, v, avoid, g.neighbors(b), radius) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.floats(0.3, 8.0), st.integers(0, 10**6),
+           st.sampled_from(["one", "list", "array"]), st.data())
+    def test_path_to_matches_reference(self, n, avg_degree, seed, form, data):
+        # the search stops at the first layer that reaches a target; the
+        # reference runs every layer within the radius and then reads the
+        # chain to the reached target of smallest (level, id).  Sparse draws
+        # and avoided targets leave targets unreached; the seed, avoided or
+        # not, may be a target itself
+        g = hub_graph(n, avg_degree, 0, seed)
+        vertex = st.integers(0, n - 1)
+        v = data.draw(vertex)
+        avoid = data.draw(st.sets(vertex, max_size=n // 2))
+        size = {"one": (1, 1), "list": (1, 5), "array": (0, 5)}[form]
+        targets = data.draw(st.lists(vertex, min_size=size[0], max_size=size[1]))
+        if data.draw(st.booleans()):
+            targets.append(v)
+        radius = data.draw(st.none() | st.integers(0, 5))
+        ref_levels, ref_parents = bfs_parents_reference(g, [v], avoid=avoid, radius=radius)
+        reached = sorted((ref_levels[u], u) for u in targets if u in ref_levels)
+        expected = parent_chain(ref_parents, reached[0][1]) if reached else None
+        given_targets = np.array(targets, dtype=np.int32) if form == "array" else targets
+        assert _path_to(g, v, avoid, given_targets, radius) == expected
 
 
 class TestSparseUnits:

@@ -390,6 +390,10 @@ class TestCli:
         ({"t": 2, "corners": [0, 1], "paths": {"0-1": [0, 2, 0, 1]}}, [], "ValueError"),
         (UNIT, ["--delta", "0"], "ValueError: delta must be in (0,1)"),
         (7, [], "TypeError"),
+        # json writes these as Infinity and NaN; m ** sigma would overflow
+        ({**UNIT, "sigma": float("inf")}, [], "ValueError: sigma must be in (0,1), got inf"),
+        ({**UNIT, "sigma": float("nan")}, [], "ValueError: sigma must be in (0,1), got nan"),
+        ({**UNIT, "sigma": 1000}, [], "ValueError: sigma must be in (0,1), got 1000.0"),
     ])
     def test_verify_bad_witness_is_an_input_error(self, tmp_path, capsys, witness, flags, named):
         gpath = tmp_path / "g.txt"
@@ -399,6 +403,17 @@ class TestCli:
         assert main(["verify", "--input", str(gpath), "--witness", str(wpath), *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad witness: {named}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("center", [99999, -1])
+    def test_verify_unit_center_out_of_range_is_a_range_violation(self, tmp_path, capsys, center):
+        gpath = tmp_path / "g.txt"
+        gpath.write_text(to_edge_list_text(gnp(200, 10, seed=0)))
+        wpath = tmp_path / "w.json"
+        wpath.write_text(json.dumps({**self.UNIT, "centers": [center]}))
+        assert main(["verify", "--input", str(gpath), "--witness", str(wpath)]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["violations"] == [["range", "unit leaves the vertex range"]]
         assert "Traceback" not in err
 
     def test_find_minor_payload_keys(self, graph_file, tmp_path):
